@@ -5,12 +5,12 @@
 #         banned-nondeterminism, unbudgeted-alloc, layering DAG,
 #         no-naked-throw) plus the flow-aware rules from DESIGN.md §14
 #         (context-dropped, fault-site-audit, budget-discipline,
-#         guarded-by) against the committed baseline, then shellcheck of
-#         the shell entry points and a hard-failing clang-tidy pass over
-#         src/ (skip with GALIGN_SKIP_CLANG_TIDY=1 on machines without
-#         clang-tidy). galign_lint itself runs before any library build:
-#         the lint binary is one dependency-free TU compiled directly
-#         with g++.
+#         guarded-by) and orphan-module against the committed baseline,
+#         then shellcheck of the shell entry points and a hard-failing
+#         clang-tidy pass over src/ (skip with GALIGN_SKIP_CLANG_TIDY=1 on
+#         machines without clang-tidy). galign_lint itself runs before any
+#         library build: the lint binary is one dependency-free TU compiled
+#         directly with g++.
 #   asan  dedicated ASan+UBSan tree (build-sanitize/): crash-recovery,
 #         fuzz-smoke, and low-budget gates, then the full suite. Any heap
 #         error, UB, or leak fails the run.

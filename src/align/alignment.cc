@@ -129,6 +129,19 @@ Supervision SampleSeeds(const std::vector<int64_t>& ground_truth,
   return sup;
 }
 
+Status ValidateSeeds(const std::vector<std::pair<int64_t, int64_t>>& seeds,
+                     int64_t n1, int64_t n2) {
+  for (const auto& [s, t] : seeds) {
+    if (s < 0 || s >= n1 || t < 0 || t >= n2) {
+      return Status::InvalidArgument(
+          "seed anchor out of range: (" + std::to_string(s) + ", " +
+          std::to_string(t) + ") with " + std::to_string(n1) +
+          " source and " + std::to_string(n2) + " target nodes");
+    }
+  }
+  return Status::OK();
+}
+
 Matrix PriorFromSeeds(int64_t n1, int64_t n2, const Supervision& supervision) {
   Matrix h(n1, n2, 1.0 / static_cast<double>(n2));
   for (const auto& [s, t] : supervision.seeds) {

@@ -139,8 +139,15 @@ std::vector<std::vector<int64_t>> AnchorsAboveThreshold(const Matrix& s,
 Supervision SampleSeeds(const std::vector<int64_t>& ground_truth,
                         double fraction, Rng* rng);
 
+/// InvalidArgument("seed anchor out of range: ...") naming the first seed
+/// whose source id is outside [0, n1) or whose target id is outside [0, n2).
+/// Every aligner that reads seeds calls this before indexing by them.
+Status ValidateSeeds(const std::vector<std::pair<int64_t, int64_t>>& seeds,
+                     int64_t n1, int64_t n2);
+
 /// Builds a prior alignment matrix H (n1 x n2) from seeds: 1 at seed pairs,
-/// uniform 1/n2 elsewhere, rows normalized (used by FINAL/IsoRank).
+/// uniform 1/n2 elsewhere, rows normalized (used by FINAL/IsoRank). The
+/// seeds must have passed ValidateSeeds.
 Matrix PriorFromSeeds(int64_t n1, int64_t n2, const Supervision& supervision);
 
 /// Row-normalized attribute-similarity prior: N(v, v') = cosine between

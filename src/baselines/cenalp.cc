@@ -15,6 +15,7 @@ Result<Matrix> CenalpAligner::Align(const AttributedGraph& source,
   if (n1 == 0 || n2 == 0) {
     return Status::InvalidArgument("empty network");
   }
+  GALIGN_RETURN_NOT_OK(ValidateSeeds(supervision.seeds, n1, n2));
   MemoryScope admission;
   GALIGN_RETURN_NOT_OK(
       ReserveAlignerBudget(*this, source, target, ctx, &admission));
@@ -22,9 +23,7 @@ Result<Matrix> CenalpAligner::Align(const AttributedGraph& source,
 
   // anchors[v] = matched target node or -1.
   std::vector<int64_t> anchors(n1, -1);
-  for (const auto& [s, t] : supervision.seeds) {
-    if (s >= 0 && s < n1 && t >= 0 && t < n2) anchors[s] = t;
-  }
+  for (const auto& [s, t] : supervision.seeds) anchors[s] = t;
   if (supervision.seeds.empty()) {
     // Bootstrap: pair the highest-degree nodes of each side by rank.
     std::vector<int64_t> by_deg_s(n1), by_deg_t(n2);

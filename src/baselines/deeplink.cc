@@ -62,6 +62,8 @@ Result<Matrix> DeepLinkAligner::Align(const AttributedGraph& source,
     return Status::InvalidArgument(
         "DeepLink requires seed anchors to train its mapping");
   }
+  GALIGN_RETURN_NOT_OK(ValidateSeeds(supervision.seeds, source.num_nodes(),
+                                     target.num_nodes()));
   MemoryScope admission;
   GALIGN_RETURN_NOT_OK(
       ReserveAlignerBudget(*this, source, target, ctx, &admission));
@@ -80,9 +82,6 @@ Result<Matrix> DeepLinkAligner::Align(const AttributedGraph& source,
   Matrix xs(num_seeds, zs.cols()), yt(num_seeds, zt.cols());
   for (int64_t i = 0; i < num_seeds; ++i) {
     auto [s, t] = supervision.seeds[i];
-    if (s < 0 || s >= source.num_nodes() || t < 0 || t >= target.num_nodes()) {
-      return Status::InvalidArgument("seed anchor out of range");
-    }
     std::copy(zs.row_data(s), zs.row_data(s) + zs.cols(), xs.row_data(i));
     std::copy(zt.row_data(t), zt.row_data(t) + zt.cols(), yt.row_data(i));
   }

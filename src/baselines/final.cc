@@ -41,6 +41,7 @@ Result<Matrix> FinalAligner::Align(const AttributedGraph& source,
   if (n1 == 0 || n2 == 0) {
     return Status::InvalidArgument("empty network");
   }
+  GALIGN_RETURN_NOT_OK(ValidateSeeds(supervision.seeds, n1, n2));
   MemoryScope admission;
   GALIGN_RETURN_NOT_OK(
       ReserveAlignerBudget(*this, source, target, ctx, &admission));

@@ -30,6 +30,7 @@ Result<Matrix> IoneAligner::Align(const AttributedGraph& source,
     return Status::InvalidArgument(
         "IONE requires seed anchors to share embeddings across networks");
   }
+  GALIGN_RETURN_NOT_OK(ValidateSeeds(supervision.seeds, n1, n2));
   MemoryScope admission;
   GALIGN_RETURN_NOT_OK(
       ReserveAlignerBudget(*this, source, target, ctx, &admission));
@@ -39,12 +40,7 @@ Result<Matrix> IoneAligner::Align(const AttributedGraph& source,
   // IONE's mechanism for a common embedding space).
   std::vector<int64_t> target_token(n2, -1);
   for (int64_t u = 0; u < n2; ++u) target_token[u] = n1 + u;
-  for (const auto& [s, t] : supervision.seeds) {
-    if (s < 0 || s >= n1 || t < 0 || t >= n2) {
-      return Status::InvalidArgument("seed anchor out of range");
-    }
-    target_token[t] = s;
-  }
+  for (const auto& [s, t] : supervision.seeds) target_token[t] = s;
   const int64_t vocab = n1 + n2;
 
   Rng rng(config_.seed);

@@ -27,6 +27,7 @@ Result<Matrix> NetAlignAligner::Align(const AttributedGraph& source,
   if (config_.candidates_per_node < 1) {
     return Status::InvalidArgument("candidates_per_node must be >= 1");
   }
+  GALIGN_RETURN_NOT_OK(ValidateSeeds(supervision.seeds, n1, n2));
   MemoryScope admission;
   GALIGN_RETURN_NOT_OK(
       ReserveAlignerBudget(*this, source, target, ctx, &admission));
@@ -35,11 +36,7 @@ Result<Matrix> NetAlignAligner::Align(const AttributedGraph& source,
   // includes attribute similarity; seeds boost their pair instead of
   // flattening the rest of the row.
   Matrix prior = AttributePrior(source, target);
-  for (const auto& [s, t] : supervision.seeds) {
-    if (s >= 0 && s < n1 && t >= 0 && t < n2) {
-      prior(s, t) += 1.0;
-    }
-  }
+  for (const auto& [s, t] : supervision.seeds) prior(s, t) += 1.0;
 
   // --- Candidate generation: top-k prior entries per source node, plus
   // every seed pair, plus square-closure expansion from the seeds (pairs of
@@ -64,9 +61,7 @@ Result<Matrix> NetAlignAligner::Align(const AttributedGraph& source,
     }
   }
   for (const auto& [s, t] : supervision.seeds) {
-    if (s >= 0 && s < n1 && t >= 0 && t < n2) {
-      add_candidate(s, t, prior(s, t));
-    }
+    add_candidate(s, t, prior(s, t));
   }
   // Square-closure expansion: two rounds of proposing neighbour pairs of
   // current candidates, capped per source row.

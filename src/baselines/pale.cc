@@ -82,6 +82,8 @@ Result<Matrix> PaleAligner::Align(const AttributedGraph& source,
     return Status::InvalidArgument(
         "PALE requires seed anchors to train its mapping function");
   }
+  GALIGN_RETURN_NOT_OK(ValidateSeeds(supervision.seeds, source.num_nodes(),
+                                     target.num_nodes()));
   MemoryScope admission;
   GALIGN_RETURN_NOT_OK(
       ReserveAlignerBudget(*this, source, target, ctx, &admission));
@@ -99,9 +101,6 @@ Result<Matrix> PaleAligner::Align(const AttributedGraph& source,
   Matrix y(num_seeds, config_.embedding_dim);
   for (int64_t i = 0; i < num_seeds; ++i) {
     auto [s, t] = supervision.seeds[i];
-    if (s < 0 || s >= source.num_nodes() || t < 0 || t >= target.num_nodes()) {
-      return Status::InvalidArgument("seed anchor out of range");
-    }
     std::copy(zs.row_data(s), zs.row_data(s) + zs.cols(), x.row_data(i));
     std::copy(zt.row_data(t), zt.row_data(t) + zt.cols(), y.row_data(i));
   }

@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 
+#include "align/alignment.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "core/checkpoint.h"
@@ -49,11 +50,8 @@ Status Trainer::Train(MultiOrderGcn* gcn, const AttributedGraph& source,
   if (gcn->input_dim() != source.num_attributes()) {
     return Status::InvalidArgument("GCN input dim != attribute dim");
   }
-  for (const auto& [v, u] : seeds) {
-    if (v < 0 || v >= source.num_nodes() || u < 0 || u >= target.num_nodes()) {
-      return Status::InvalidArgument("seed anchor out of range");
-    }
-  }
+  GALIGN_RETURN_NOT_OK(
+      ValidateSeeds(seeds, source.num_nodes(), target.num_nodes()));
 
   auto lap_s_result = source.NormalizedAdjacency();
   GALIGN_RETURN_NOT_OK(lap_s_result.status());

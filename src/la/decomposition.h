@@ -1,6 +1,6 @@
 // Matrix decompositions implemented from scratch: cyclic Jacobi for symmetric
 // eigenproblems and a thin SVD built on top of it. Used by REGAL's low-rank
-// similarity factorization and by PCA for the qualitative study.
+// similarity factorization.
 //
 // Every solver here runs under an explicit iteration + residual budget and
 // reports how it exited through a ConvergenceReport (DESIGN.md §7). A solve
@@ -31,11 +31,10 @@ struct EigenDecomposition {
 /// \brief Eigendecomposition of a symmetric matrix via cyclic Jacobi
 /// rotations.
 ///
-/// Intended for small-to-medium matrices (landmark similarity blocks, PCA
-/// covariances). If the off-diagonal mass fails to vanish within
-/// max_sweeps, the best-so-far rotation is returned with
-/// report.converged == false (Jacobi sweeps are monotone, so the last
-/// iterate is the best).
+/// Intended for small-to-medium matrices (landmark similarity blocks). If
+/// the off-diagonal mass fails to vanish within max_sweeps, the best-so-far
+/// rotation is returned with report.converged == false (Jacobi sweeps are
+/// monotone, so the last iterate is the best).
 /// All solvers below additionally accept an optional RunContext: when it
 /// expires (deadline) or fires (cancellation), the sweep/iteration loop
 /// stops at the current best iterate, reported degraded — the same graceful

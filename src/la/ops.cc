@@ -251,16 +251,10 @@ void MatMulTransposedAInto(const Matrix& a, const Matrix& b, Matrix* out,
 
 Matrix Transpose(const Matrix& a) {
   Matrix t;
-  TransposeInto(a, &t);
-  return t;
-}
-
-void TransposeInto(const Matrix& a, Matrix* out) {
-  GALIGN_DCHECK(out != &a);
-  out->Resize(a.cols(), a.rows());
+  t.Resize(a.cols(), a.rows());
   constexpr int64_t kTb = 32;  // 32x32 doubles = two 4 KiB pages per block
   const int64_t rows = a.rows(), cols = a.cols();
-  if (rows == 0 || cols == 0) return;
+  if (rows == 0 || cols == 0) return t;
   const int64_t cblocks = (cols + kTb - 1) / kTb;
   // Parallelize over column blocks of `a` (row blocks of the output) so each
   // task writes a disjoint set of output rows.
@@ -275,13 +269,14 @@ void TransposeInto(const Matrix& a, Matrix* out) {
             for (int64_t r = r0; r < r1; ++r) {
               const double* arow = a.row_data(r);
               for (int64_t c = c0; c < c1; ++c) {
-                (*out)(c, r) = arow[c];
+                t(c, r) = arow[c];
               }
             }
           }
         }
       },
       /*min_chunk=*/1);
+  return t;
 }
 
 Matrix Add(const Matrix& a, const Matrix& b) {
@@ -465,35 +460,6 @@ Matrix ConcatCols(const std::vector<const Matrix*>& parts) {
     }
   }
   return out;
-}
-
-Matrix SoftmaxRows(const Matrix& a) {
-  Matrix out;
-  SoftmaxRowsInto(a, &out);
-  return out;
-}
-
-void SoftmaxRowsInto(const Matrix& a, Matrix* out) {
-  if (out != &a) out->Resize(a.rows(), a.cols());
-  const int64_t cols = a.cols();
-  if (cols == 0) return;
-  ParallelFor(
-      0, a.rows(),
-      [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          const double* p = a.row_data(r);
-          double* o = out->row_data(r);
-          double mx = p[0];
-          for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, p[c]);
-          double z = 0.0;
-          for (int64_t c = 0; c < cols; ++c) {
-            o[c] = std::exp(p[c] - mx);
-            z += o[c];
-          }
-          for (int64_t c = 0; c < cols; ++c) o[c] /= z;
-        }
-      },
-      /*min_chunk=*/64);
 }
 
 namespace reference {

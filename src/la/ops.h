@@ -48,12 +48,8 @@ void MatMulTransposedBInto(const Matrix& a, const Matrix& b, Matrix* out,
 void MatMulTransposedAInto(const Matrix& a, const Matrix& b, Matrix* out,
                            bool accumulate = false);
 
-/// Out-of-place transpose.
+/// A^T, cache-blocked and parallel over column blocks.
 Matrix Transpose(const Matrix& a);
-
-/// out = A^T, cache-blocked and parallel over column blocks. `out` must not
-/// alias `a`.
-void TransposeInto(const Matrix& a, Matrix* out);
 
 /// C = A + B (shapes must match).
 Matrix Add(const Matrix& a, const Matrix& b);
@@ -117,12 +113,6 @@ int64_t RankInRow(const Matrix& m, int64_t r, int64_t col);
 
 /// Concatenates matrices horizontally ([A | B | ...]); equal row counts.
 Matrix ConcatCols(const std::vector<const Matrix*>& parts);
-
-/// Row-wise softmax.
-Matrix SoftmaxRows(const Matrix& a);
-
-/// out = row-wise softmax of A, parallel over rows; out == &a is allowed.
-void SoftmaxRowsInto(const Matrix& a, Matrix* out);
 
 namespace reference {
 

@@ -30,6 +30,19 @@ Supervision TenPercentSeeds(const AlignmentPair& pair, uint64_t seed) {
   return SampleSeeds(pair.ground_truth, 0.1, &rng);
 }
 
+// A seed whose target id lies past the target network: every seeded aligner
+// must reject it with a typed status before indexing by it.
+void ExpectOutOfRangeSeedRejected(Aligner* aligner, const AlignmentPair& pair) {
+  Supervision bad;
+  bad.seeds = {{0, 100000000}};
+  auto s = aligner->Align(pair.source, pair.target, bad);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.status().message().find("seed anchor out of range"),
+            std::string::npos)
+      << s.status().message();
+}
+
 // ---------------------------------------------------------------- xNetMF
 
 TEST(XNetMfTest, StructuralFeaturesShape) {
@@ -157,6 +170,11 @@ TEST(IsoRankTest, WorksUnsupervisedViaAttributePrior) {
   EXPECT_TRUE(s.ValueOrDie().AllFinite());
 }
 
+TEST(IsoRankTest, RejectsOutOfRangeSeeds) {
+  IsoRankAligner aligner;
+  ExpectOutOfRangeSeedRejected(&aligner, CleanPair(11, 20));
+}
+
 TEST(FinalTest, StrongOnCleanAttributedCopy) {
   AlignmentPair pair = CleanPair(12);
   FinalAligner aligner;
@@ -176,6 +194,11 @@ TEST(FinalTest, AttributelessVariantRuns) {
                          TenPercentSeeds(pair, 15));
   ASSERT_TRUE(s.ok());
   EXPECT_TRUE(s.ValueOrDie().AllFinite());
+}
+
+TEST(FinalTest, RejectsOutOfRangeSeeds) {
+  FinalAligner aligner;
+  ExpectOutOfRangeSeedRejected(&aligner, CleanPair(14, 20));
 }
 
 TEST(RegalTest, UnsupervisedAndDecentOnCleanCopy) {
@@ -255,6 +278,11 @@ TEST(CenalpTest, BootstrapsWithoutSeeds) {
   auto s = aligner.Align(pair.source, pair.target, {});
   ASSERT_TRUE(s.ok());
   EXPECT_TRUE(s.ValueOrDie().AllFinite());
+}
+
+TEST(CenalpTest, RejectsOutOfRangeSeeds) {
+  CenalpAligner aligner;
+  ExpectOutOfRangeSeedRejected(&aligner, CleanPair(25, 20));
 }
 
 // Contract test over every baseline: shape, finiteness, determinism.

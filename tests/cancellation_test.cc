@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "align/ensemble.h"
 #include "align/pipeline.h"
 #include "baselines/cenalp.h"
 #include "baselines/deeplink.h"
@@ -154,17 +153,6 @@ TEST(CancellationTest, CancelTokenSharedAcrossCopiesStops) {
   EXPECT_TRUE(copy.ShouldStop());
   EXPECT_TRUE(copy.Cancelled());
   EXPECT_FALSE(copy.DeadlineExceeded());
-}
-
-TEST(CancellationTest, EnsembleRespectsExpiredDeadline) {
-  AlignmentPair pair = SmallPair(9);
-  RegalAligner regal;
-  UniAlignAligner unialign;
-  EnsembleAligner ensemble({&regal, &unialign});
-  auto s = ensemble.Align(pair.source, pair.target, {},
-                          RunContext::WithTimeout(0.0));
-  ASSERT_TRUE(s.ok()) << s.status().ToString();
-  EXPECT_TRUE(s.ValueOrDie().AllFinite());
 }
 
 }  // namespace

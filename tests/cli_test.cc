@@ -8,12 +8,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "align/alignment_io.h"
-#include "align/dataset_io.h"
 #include "align/metrics.h"
 #include "graph/generators.h"
+#include "graph/io.h"
 #include "graph/noise.h"
 
 #ifndef GALIGN_CLI_PATH
@@ -35,7 +36,17 @@ class CliTest : public ::testing::Test {
     NoisyCopyOptions opts;
     opts.structural_noise = 0.05;
     pair_ = MakeNoisyCopyPair(g, opts, &rng).MoveValueOrDie();
-    ASSERT_TRUE(SaveAlignmentPair(pair_, Dir("data")).ok());
+    std::filesystem::create_directories(dir_ / "data");
+    ASSERT_TRUE(SaveEdgeList(pair_.source, Dir("data/source.edges")).ok());
+    ASSERT_TRUE(
+        SaveAttributes(pair_.source.attributes(), Dir("data/source.attrs"))
+            .ok());
+    ASSERT_TRUE(SaveEdgeList(pair_.target, Dir("data/target.edges")).ok());
+    ASSERT_TRUE(
+        SaveAttributes(pair_.target.attributes(), Dir("data/target.attrs"))
+            .ok());
+    ASSERT_TRUE(
+        SaveGroundTruth(pair_.ground_truth, Dir("data/ground_truth.txt")).ok());
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
   std::string Dir(const std::string& name) { return (dir_ / name).string(); }
@@ -142,6 +153,22 @@ TEST_F(CliTest, AnnRecallTargetOutsideDomainRejectedTyped) {
   EXPECT_NE(out.find("--ann-recall-target=1.5 rejected"), std::string::npos)
       << out;
   EXPECT_NE(out.find("0 < value <= 1"), std::string::npos) << out;
+}
+
+TEST_F(CliTest, OutOfRangeSeedTargetRejectedTyped) {
+  // The source id is valid, so the seeds file loads; the target id is not a
+  // target node, which the seeded aligners must reject instead of indexing.
+  std::ofstream(Dir("bad_seeds.txt")) << "0 100000000\n";
+  for (const char* method : {"final", "isorank"}) {
+    int rc = RunCli(std::string("--method=") + method +
+                    " --topk=2 --seeds=" + Dir("bad_seeds.txt"));
+    ASSERT_TRUE(WIFEXITED(rc)) << method << " died by a signal";
+    EXPECT_NE(WEXITSTATUS(rc), 0) << method;
+    const std::string out = CapturedOutput();
+    EXPECT_NE(out.find("seed anchor out of range: (0, 100000000)"),
+              std::string::npos)
+        << method << ": " << out;
+  }
 }
 
 TEST_F(CliTest, MissingInputFails) {

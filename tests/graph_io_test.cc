@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/fault.h"
 #include "common/rng.h"
 #include "graph/generators.h"
 
@@ -131,6 +132,32 @@ TEST_F(IoTest, FullGraphRoundTripWithAttributes) {
   EXPECT_LT(
       Matrix::MaxAbsDiff(rebuilt.ValueOrDie().attributes(), g.attributes()),
       1e-15);
+}
+
+TEST_F(IoTest, LoadEdgeListFaultSiteRetriesThenFails) {
+  Rng rng(7);
+  auto g = BarabasiAlbert(10, 2, &rng).MoveValueOrDie();
+  ASSERT_TRUE(SaveEdgeList(g, Path("f.edges")).ok());
+
+  // Persistent: outlasts every retry, surfaces as a clean typed IOError.
+  fault::Spec spec;
+  spec.kind = fault::Kind::kFailIO;
+  spec.repeat = 1000;
+  fault::Arm("io.edges.load", spec);
+  auto failed = LoadEdgeList(Path("f.edges"));
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
+  EXPECT_NE(failed.status().message().find("injected fault"),
+            std::string::npos)
+      << failed.status().message();
+
+  // Transient: the loader's bounded retry absorbs a single-shot fault.
+  spec.repeat = 1;
+  fault::Arm("io.edges.load", spec);
+  auto retried = LoadEdgeList(Path("f.edges"));
+  fault::DisarmAll();
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(retried.ValueOrDie().edges(), g.edges());
 }
 
 }  // namespace

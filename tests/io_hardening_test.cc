@@ -11,12 +11,9 @@
 #include <string>
 
 #include "align/alignment_io.h"
-#include "align/dataset_io.h"
 #include "common/fault.h"
 #include "core/model_io.h"
-#include "graph/generators.h"
 #include "graph/io.h"
-#include "graph/noise.h"
 
 namespace galign {
 namespace {
@@ -206,79 +203,6 @@ TEST_F(IoHardeningTest, AlignmentIgnoresUnrelatedComments) {
   auto r = LoadAlignmentMatrix(Path("a.txt"));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.ValueOrDie().rows(), 2);
-}
-
-// --- Dataset directories --------------------------------------------------
-
-TEST_F(IoHardeningTest, DatasetErrorNamesThePartAndFile) {
-  Rng rng(4);
-  auto g = BarabasiAlbert(15, 2, &rng).MoveValueOrDie();
-  g = g.WithAttributes(BinaryAttributes(15, 4, 0.3, &rng)).MoveValueOrDie();
-  NoisyCopyOptions opts;
-  auto pair = MakeNoisyCopyPair(g, opts, &rng).MoveValueOrDie();
-  ASSERT_TRUE(SaveAlignmentPair(pair, dir_.string()).ok());
-  ASSERT_TRUE(LoadAlignmentPair(dir_.string()).ok());
-
-  // Corrupt one part: the error must name both the part and the file.
-  WriteFile("target.attrs", "1 0\nnan 1\n");
-  auto r = LoadAlignmentPair(dir_.string());
-  ExpectErrorMentioning(r, "target attributes");
-  ExpectErrorMentioning(r, "target.attrs");
-}
-
-TEST_F(IoHardeningTest, DatasetRejectsAttributeRowCountMismatch) {
-  Rng rng(5);
-  auto g = BarabasiAlbert(15, 2, &rng).MoveValueOrDie();
-  g = g.WithAttributes(BinaryAttributes(15, 4, 0.3, &rng)).MoveValueOrDie();
-  NoisyCopyOptions opts;
-  auto pair = MakeNoisyCopyPair(g, opts, &rng).MoveValueOrDie();
-  ASSERT_TRUE(SaveAlignmentPair(pair, dir_.string()).ok());
-
-  WriteFile("source.attrs", "1 0 1 0\n0 1 0 1\n");  // 2 rows for 15 nodes
-  auto r = LoadAlignmentPair(dir_.string());
-  ExpectErrorMentioning(r, "source attributes");
-  ExpectErrorMentioning(r, "declares 15 nodes");
-}
-
-TEST_F(IoHardeningTest, DatasetRejectsGroundTruthBeyondTarget) {
-  Rng rng(6);
-  auto g = BarabasiAlbert(10, 2, &rng).MoveValueOrDie();
-  g = g.WithAttributes(BinaryAttributes(10, 4, 0.3, &rng)).MoveValueOrDie();
-  NoisyCopyOptions opts;
-  auto pair = MakeNoisyCopyPair(g, opts, &rng).MoveValueOrDie();
-  ASSERT_TRUE(SaveAlignmentPair(pair, dir_.string()).ok());
-
-  WriteFile("ground_truth.txt", "0 99\n");
-  auto r = LoadAlignmentPair(dir_.string());
-  ExpectErrorMentioning(r, "ground truth");
-  ExpectErrorMentioning(r, "99");
-}
-
-TEST_F(IoHardeningTest, EdgeListFaultSiteContextualizedByDataset) {
-  Rng rng(7);
-  auto g = BarabasiAlbert(10, 2, &rng).MoveValueOrDie();
-  g = g.WithAttributes(BinaryAttributes(10, 4, 0.3, &rng)).MoveValueOrDie();
-  NoisyCopyOptions opts;
-  auto pair = MakeNoisyCopyPair(g, opts, &rng).MoveValueOrDie();
-  ASSERT_TRUE(SaveAlignmentPair(pair, dir_.string()).ok());
-
-  fault::Spec spec;
-  spec.kind = fault::Kind::kFailIO;
-  spec.repeat = 1000;  // persistent: must outlast the loader's retries
-  fault::Arm("io.edges.load", spec);  // fires on the source network read
-  auto r = LoadAlignmentPair(dir_.string());
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
-  ExpectErrorMentioning(r, "source network");
-  ExpectErrorMentioning(r, "injected fault");
-
-  // A transient (single-shot) fault, by contrast, is retried away.
-  spec.repeat = 1;
-  fault::Arm("io.edges.load", spec);
-  EXPECT_TRUE(LoadAlignmentPair(dir_.string()).ok());
-
-  fault::DisarmAll();
-  EXPECT_TRUE(LoadAlignmentPair(dir_.string()).ok());
 }
 
 TEST_F(IoHardeningTest, AlignmentMatrixLoadFaultSiteRetriesThenFails) {

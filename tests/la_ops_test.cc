@@ -238,18 +238,13 @@ TEST(OpsTest, TopKRowMatchesSortReference) {
   }
 }
 
-TEST(OpsTest, TanhIntoInPlaceAndSoftmaxInto) {
+TEST(OpsTest, TanhIntoInPlace) {
   Rng rng(22);
   Matrix a = Matrix::Gaussian(9, 13, &rng, 2.0);
   Matrix expected = Tanh(a);
   Matrix inplace = a;
   TanhInto(inplace, &inplace);
   EXPECT_LT(Matrix::MaxAbsDiff(inplace, expected), 1e-15);
-
-  Matrix sm_expected = SoftmaxRows(a);
-  Matrix sm = a;
-  SoftmaxRowsInto(sm, &sm);
-  EXPECT_LT(Matrix::MaxAbsDiff(sm, sm_expected), 1e-15);
 }
 
 TEST(OpsTest, RankInRow) {
@@ -276,26 +271,6 @@ TEST(OpsTest, ConcatCols) {
   EXPECT_EQ(c.cols(), 3);
   EXPECT_DOUBLE_EQ(c(0, 2), 5);
   EXPECT_DOUBLE_EQ(c(1, 0), 3);
-}
-
-TEST(OpsTest, SoftmaxRowsSumToOne) {
-  Rng rng(3);
-  Matrix a = Matrix::Gaussian(5, 8, &rng, 3.0);
-  Matrix s = SoftmaxRows(a);
-  for (int64_t r = 0; r < 5; ++r) {
-    double sum = 0;
-    for (int64_t c = 0; c < 8; ++c) {
-      EXPECT_GT(s(r, c), 0.0);
-      sum += s(r, c);
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-12);
-  }
-}
-
-TEST(OpsTest, SoftmaxIsShiftInvariant) {
-  Matrix a{{1000.0, 1001.0}};  // would overflow without max-shift
-  Matrix s = SoftmaxRows(a);
-  EXPECT_NEAR(s(0, 1), 1.0 / (1.0 + std::exp(-1.0)), 1e-12);
 }
 
 }  // namespace

@@ -339,6 +339,29 @@ TEST(LintGuardedBy, ReasonlessAllowIsItselfAViolation) {
       << run.output;
 }
 
+TEST(LintOrphanModule, TestOnlyAndUnincludedHeadersFire) {
+  LintRun run = RunLint(Fixture("orphan_module/bad"));
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  // Included by its own .cc and its own test only...
+  EXPECT_NE(run.output.find("src/graph/kcore.h:1: orphan-module:"),
+            std::string::npos)
+      << run.output;
+  // ...and included by nothing at all.
+  EXPECT_NE(run.output.find("src/manifold/pca.h:1: orphan-module:"),
+            std::string::npos)
+      << run.output;
+  // graph/used.h has a program under tools/ that includes it.
+  EXPECT_EQ(CountOccurrences(run.output, "orphan-module"), 2) << run.output;
+}
+
+TEST(LintOrphanModule, SrcProgramAndRelativeIncludesKeepModulesLive) {
+  // Users: another src file, an examples/ .cpp program, a same-directory
+  // include; the fourth header carries a reasoned allow().
+  LintRun run = RunLint(Fixture("orphan_module/good"));
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_EQ(CountOccurrences(run.output, "orphan-module"), 0) << run.output;
+}
+
 TEST(LintBaseline, WriteThenReadSuppressesGrandfatheredViolations) {
   const std::string bl =
       "/tmp/galign_lint_baseline_" + std::to_string(::getpid()) + ".json";

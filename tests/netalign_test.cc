@@ -35,6 +35,16 @@ TEST(NetAlignTest, StrongOnCleanCopyWithSeeds) {
   EXPECT_GT(m.auc, 0.7);
 }
 
+TEST(NetAlignTest, RejectsOutOfRangeSeeds) {
+  AlignmentPair pair = CleanPair(2, 20);
+  Supervision bad;
+  bad.seeds = {{0, 100000000}};
+  NetAlignAligner aligner;
+  auto s = aligner.Align(pair.source, pair.target, bad);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(NetAlignTest, UnsupervisedViaAttributePrior) {
   AlignmentPair pair = CleanPair(3);
   NetAlignAligner aligner;

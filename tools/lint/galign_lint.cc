@@ -37,6 +37,11 @@
 //                          against lock acquisitions in every function that
 //                          touches the annotated symbol (`Locked` suffix and
 //                          `// galign: requires_lock(mu_)` exempt).
+//   orphan-module          a src/**.h that no file under src, bench,
+//                          examples or tools includes, other than its own
+//                          .cc: code no program runs (tests do not count).
+//                          Full-tree scans of a root that holds a program
+//                          directory (bench, examples or tools) only.
 //
 // Output: text (default) `file:line: rule-id: message`, or --format=json.
 // A committed baseline (--baseline=FILE, maintained by --write-baseline)
@@ -323,6 +328,9 @@ bool LineAllows(const std::string& raw_line, const std::string& rule,
   return false;
 }
 
+// `#include "path"`; shared by the layering and orphan-module rules.
+const std::regex kQuotedIncludeRe(R"(^\s*#\s*include\s+\"([^\"]+)\")");
+
 // ------------------------------------------------------- rule: layering
 void CheckLayering(const FileText& f, std::vector<Diagnostic>* diags,
                    std::set<int>* bad_allow) {
@@ -338,10 +346,9 @@ void CheckLayering(const FileText& f, std::vector<Diagnostic>* diags,
     if (module == r.module) rule = &r;
 
   // Raw lines, not sanitized: the include path is itself a string literal.
-  static const std::regex inc_re(R"(^\s*#\s*include\s+\"([^\"]+)\")");
   for (size_t i = 0; i < f.raw.size(); ++i) {
     std::smatch m;
-    if (!std::regex_search(f.raw[i], m, inc_re)) continue;
+    if (!std::regex_search(f.raw[i], m, kQuotedIncludeRe)) continue;
     const std::string target = m[1].str();
     const std::string tmodule = DagModuleOf(target);
     // Same-dir includes and non-module includes (e.g. "gtest/...") have no
@@ -1571,6 +1578,55 @@ void CheckFaultSiteAudit(const std::vector<FileText>& files,
   }
 }
 
+// -------------------------------------------- rule: orphan-module
+//
+// A library header is live when a program reaches it: some file under src,
+// bench, examples or tools includes it, other than the header's own .cc.
+// Tests do not count — a module only its own test reaches is dead code
+// built into every binary. Includes resolve against src/ and against the
+// including file's directory. Reported on line 1 of the header, where an
+// allow() comment suppresses it.
+void CheckOrphanModules(const std::vector<FileText>& files,
+                        std::vector<Diagnostic>* diags) {
+  std::map<std::string, const FileText*> headers;  // rel path -> file
+  for (const FileText& f : files) {
+    if (f.rel.rfind("src/", 0) == 0 && fs::path(f.rel).extension() == ".h")
+      headers[f.rel] = &f;
+  }
+  std::set<std::string> included;
+  for (const FileText& f : files) {
+    bool program_side = false;
+    for (const char* d : {"src/", "bench/", "examples/", "tools/"})
+      if (f.rel.rfind(d, 0) == 0) program_side = true;
+    if (!program_side) continue;
+    const fs::path dir = fs::path(f.rel).parent_path();
+    for (const std::string& line : f.raw) {
+      std::smatch m;
+      if (!std::regex_search(line, m, kQuotedIncludeRe)) continue;
+      for (const fs::path& candidate :
+           {fs::path("src") / m[1].str(), dir / m[1].str()}) {
+        const std::string rel = candidate.lexically_normal().generic_string();
+        if (headers.count(rel) == 0) continue;
+        const std::string own_cc = rel.substr(0, rel.size() - 2) + ".cc";
+        if (f.rel != own_cc) included.insert(rel);
+      }
+    }
+  }
+  std::set<int> bad_allow;
+  for (const auto& [rel, f] : headers) {
+    if (included.count(rel) > 0) continue;
+    bad_allow.clear();
+    if (!f->raw.empty() &&
+        LineAllows(f->raw[0], "orphan-module", f->path, 1, diags, &bad_allow))
+      continue;
+    diags->push_back(
+        {f->path, 1, "orphan-module",
+         "no file under src, bench, examples or tools includes '" + rel +
+             "' other than its own .cc; delete the module or give it a "
+             "program that runs it"});
+  }
+}
+
 // -------------------------------------------------- output + baseline
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -1633,9 +1689,10 @@ bool WriteBaseline(const fs::path& path,
 }
 
 // -------------------------------------------------------------- scanning
+// examples/ holds its programs as .cpp files.
 bool IsSourceFile(const fs::path& p) {
   const std::string ext = p.extension().string();
-  return ext == ".cc" || ext == ".h";
+  return ext == ".cc" || ext == ".cpp" || ext == ".h";
 }
 
 std::string RelPath(const fs::path& root, const fs::path& p) {
@@ -1801,6 +1858,10 @@ int main(int argc, char** argv) {
 
   std::map<std::string, FaultSite> fault_table;
   if (full_tree_scan) CheckFaultSiteAudit(files, &fault_table, &diags);
+  bool has_programs = false;
+  for (const char* d : {"bench", "examples", "tools"})
+    if (fs::is_directory(root / d)) has_programs = true;
+  if (full_tree_scan && has_programs) CheckOrphanModules(files, &diags);
 
   // Fill scan-root-relative paths (baseline + JSON keys).
   {
