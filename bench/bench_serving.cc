@@ -15,20 +15,28 @@
 //
 // At 1x the queue absorbs everything and shed must be ~0; at 16x most of
 // the load must shed — the interesting number is that p99 of what *was*
-// answered stays bounded instead of growing with offered load. Run via
+// answered stays bounded instead of growing with offered load.
+//
+// BM_ArtifactSave / BM_ArtifactLoad time the two artifact-I/O stages of a
+// hot refresh (DESIGN.md §13) at the same index's shape. Run via
 // bench/run_all.sh to record BENCH_serving.json with provenance stamps.
 #include <benchmark/benchmark.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/gbench_main.h"
+#include "common/durable_io.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/galign.h"
@@ -282,6 +290,60 @@ BENCHMARK(BM_ServingHotSwap)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+/// A fresh per-process temporary directory for the artifact benches.
+std::string ArtifactBenchDir(const char* name) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      (std::string("galign_bench_") + name + "_" +
+       std::to_string(static_cast<long>(::getpid())));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+/// The publishing half of a refresh: what AlignmentIndexStore::Save writes
+/// before its retention pass — Serialize, the CRC trailer, and the
+/// fsync'd temp-and-rename.
+void BM_ArtifactSave(benchmark::State& state) {
+  std::shared_ptr<const AlignmentIndex> index = SharedIndex();
+  const std::string dir = ArtifactBenchDir("artifact_save");
+  const std::string path = dir + "/aidx_00000001";
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string framed = AppendCrc32Trailer(index->Serialize());
+    const Status st = AtomicWriteFile(path, framed);
+    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
+    benchmark::DoNotOptimize(framed.data());
+    benchmark::ClobberMemory();
+    bytes += static_cast<int64_t>(framed.size());
+  }
+  state.SetBytesProcessed(bytes);
+  std::filesystem::remove_all(dir);
+}
+
+BENCHMARK(BM_ArtifactSave)->Unit(benchmark::kMicrosecond);
+
+/// The loading half: AlignmentIndexStore::LoadGeneration — read, CRC
+/// verify, Parse (hex decode plus the ANN rebuild and fingerprint check).
+void BM_ArtifactLoad(benchmark::State& state) {
+  const std::string dir = ArtifactBenchDir("artifact_load");
+  AlignmentIndexStore store(dir, /*keep=*/1);
+  const Status saved = store.Save(*SharedIndex());
+  if (!saved.ok()) state.SkipWithError(saved.ToString().c_str());
+  std::error_code ec;
+  const int64_t file_bytes = static_cast<int64_t>(
+      std::filesystem::file_size(store.GenerationPath(1), ec));
+  for (auto _ : state) {
+    auto loaded = store.LoadGeneration(1);
+    if (!loaded.ok()) state.SkipWithError(loaded.status().ToString().c_str());
+    benchmark::DoNotOptimize(loaded);
+  }
+  state.SetBytesProcessed(file_bytes * state.iterations());
+  std::filesystem::remove_all(dir);
+}
+
+BENCHMARK(BM_ArtifactLoad)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace galign

@@ -1,6 +1,7 @@
 #include "common/durable_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -8,28 +9,106 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <random>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 namespace galign {
 
 namespace {
 
-std::array<uint32_t, 256> BuildCrc32Table() {
-  std::array<uint32_t, 256> table{};
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+// tables[0] is the bytewise table of the reflected 0xEDB88320 polynomial;
+// tables[k][i] is the CRC of byte i followed by k zero bytes, so one step
+// can fold eight input bytes through eight independent lookups.
+constexpr Crc32Tables BuildCrc32Tables() {
+  Crc32Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
+  }
+  for (size_t k = 1; k < 8; ++k) {
+    for (size_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32Tables = BuildCrc32Tables();
+
+// Little-endian 32-bit load, independent of host byte order.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+// Byte -> its two lowercase hex digits, most significant first.
+using HexPairTable = std::array<std::array<char, 2>, 256>;
+constexpr HexPairTable BuildHexPairTable() {
+  constexpr char kDigits[] = "0123456789abcdef";
+  HexPairTable table{};
+  for (size_t b = 0; b < 256; ++b) {
+    table[b] = {kDigits[b >> 4], kDigits[b & 15]};
   }
   return table;
+}
+constexpr HexPairTable kHexPairs = BuildHexPairTable();
+
+// Character -> nibble value for [0-9a-f]; kBadNibble for everything else
+// (uppercase included: HexDouble only ever writes lowercase).
+constexpr uint8_t kBadNibble = 0x10;
+using NibbleTable = std::array<uint8_t, 256>;
+constexpr NibbleTable BuildNibbleTable() {
+  NibbleTable table{};
+  for (size_t c = 0; c < 256; ++c) table[c] = kBadNibble;
+  for (uint8_t v = 0; v < 10; ++v) table['0' + v] = v;
+  for (uint8_t v = 0; v < 6; ++v) {
+    table['a' + v] = static_cast<uint8_t>(10 + v);
+  }
+  return table;
+}
+constexpr NibbleTable kNibbles = BuildNibbleTable();
+
+// Bytes of one encoded value: 16 digits plus the following separator.
+constexpr size_t kHexValueBytes = 17;
+
+inline void EncodeHex16(double d, char* out) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  for (int shift = 56; shift >= 0; shift -= 8, out += 2) {
+    std::memcpy(out, kHexPairs[(bits >> shift) & 0xFFu].data(), 2);
+  }
+}
+
+// Decodes 16 hex digits at `p`; false when any is not [0-9a-f].
+inline bool DecodeHex16(const char* p, double* d) {
+  uint64_t bits = 0;
+  uint8_t seen = 0;
+  for (int i = 0; i < 16; ++i) {
+    const uint8_t v = kNibbles[static_cast<unsigned char>(p[i])];
+    seen |= v;
+    bits = (bits << 4) | (v & 0xFu);
+  }
+  std::memcpy(d, &bits, sizeof(bits));
+  return (seen & kBadNibble) == 0;
+}
+
+// The classic-locale isspace set `istream >> std::string` splits on.
+inline bool IsTokenSpace(char c) {
+  return c == ' ' || static_cast<unsigned char>(c - '\t') <= '\r' - '\t';
+}
+
+Status BadHexToken(const std::string& tok, const std::string& context) {
+  return Status::IOError("bad double bit pattern '" + tok + "' in " + context);
 }
 
 std::string ErrnoMessage(const std::string& what, const std::string& path) {
@@ -48,11 +127,18 @@ std::string DirOf(const std::string& path) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size) {
-  static const std::array<uint32_t, 256> table = BuildCrc32Table();
+  const Crc32Tables& t = kCrc32Tables;
   const unsigned char* p = static_cast<const unsigned char*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -109,23 +195,48 @@ Status AtomicWriteFile(const std::string& path, const std::string& content) {
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  if (in.bad()) return Status::IOError("read failed: " + path);
-  return out.str();
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open for read: " + path);
+  struct stat st {};
+  std::string out;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    out.resize(static_cast<size_t>(st.st_size));
+  }
+  // Fill the fstat-sized buffer, then keep reading through a small chunk
+  // until EOF: a file that grew since fstat is still read whole, without
+  // ever doubling the big buffer.
+  size_t got = 0;
+  char chunk[4096];
+  for (;;) {
+    const bool into_out = got < out.size();
+    char* dst = into_out ? out.data() + got : chunk;
+    const size_t room = into_out ? out.size() - got : sizeof(chunk);
+    const ssize_t n = ::read(fd, dst, room);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return Status::IOError("read failed: " + path);
+    }
+    if (n == 0) break;
+    if (!into_out) out.append(chunk, static_cast<size_t>(n));
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  out.resize(got);
+  return out;
 }
 
-std::string AppendCrc32Trailer(const std::string& payload) {
-  std::string body = payload;
-  if (body.empty() || body.back() != '\n') body += '\n';
+std::string AppendCrc32Trailer(std::string payload) {
+  if (payload.empty() || payload.back() != '\n') payload += '\n';
   char hex[16];
-  std::snprintf(hex, sizeof(hex), "%08x", Crc32(body));
-  return body + kCrcTrailerPrefix + hex + "\n";
+  std::snprintf(hex, sizeof(hex), "%08x", Crc32(payload));
+  payload += kCrcTrailerPrefix;
+  payload += hex;
+  payload += '\n';
+  return payload;
 }
 
-Result<std::string> StripAndVerifyCrc32Trailer(const std::string& content,
+Result<std::string> StripAndVerifyCrc32Trailer(std::string content,
                                                bool require_trailer,
                                                const std::string& context) {
   // The trailer is the last non-empty line; find its start.
@@ -133,10 +244,11 @@ Result<std::string> StripAndVerifyCrc32Trailer(const std::string& content,
   while (end > 0 && content[end - 1] == '\n') --end;
   size_t line_start = content.rfind('\n', end == 0 ? 0 : end - 1);
   line_start = (line_start == std::string::npos) ? 0 : line_start + 1;
-  const std::string last_line = content.substr(line_start, end - line_start);
+  const std::string_view last_line(content.data() + line_start,
+                                   end - line_start);
 
   const size_t prefix_len = sizeof(kCrcTrailerPrefix) - 1;
-  if (last_line.compare(0, prefix_len, kCrcTrailerPrefix) != 0) {
+  if (last_line.substr(0, prefix_len) != kCrcTrailerPrefix) {
     if (require_trailer) {
       return Status::IOError("missing #crc32 trailer in " + context);
     }
@@ -144,14 +256,13 @@ Result<std::string> StripAndVerifyCrc32Trailer(const std::string& content,
   }
   uint32_t expected = 0;
   {
-    std::istringstream hs(last_line.substr(prefix_len));
+    std::istringstream hs(std::string(last_line.substr(prefix_len)));
     hs >> std::hex >> expected;
     if (hs.fail()) {
       return Status::IOError("malformed #crc32 trailer in " + context);
     }
   }
-  const std::string payload = content.substr(0, line_start);
-  uint32_t actual = Crc32(payload);
+  const uint32_t actual = Crc32(content.data(), line_start);
   if (actual != expected) {
     char buf[96];
     std::snprintf(buf, sizeof(buf),
@@ -159,29 +270,66 @@ Result<std::string> StripAndVerifyCrc32Trailer(const std::string& content,
                   expected, actual);
     return Status::IOError(buf + context);
   }
-  return payload;
+  content.resize(line_start);
+  return content;
 }
 
 std::string HexDouble(double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(bits));
-  return buf;
+  std::string out;
+  AppendHexDoubles(&out, &d, 1, 0);
+  out.pop_back();  // the run's closing newline
+  return out;
+}
+
+void AppendHexDoubles(std::string* out, const double* values, size_t n,
+                      size_t per_line) {
+  if (n == 0) return;
+  const size_t start = out->size();
+  out->resize(start + n * kHexValueBytes);
+  char* p = out->data() + start;
+  for (size_t i = 0; i < n; ++i, p += kHexValueBytes) {
+    EncodeHex16(values[i], p);
+    p[16] = (per_line != 0 && (i + 1) % per_line == 0) ? '\n' : ' ';
+  }
+  *(p - 1) = '\n';
 }
 
 Result<double> ParseHexDouble(const std::string& tok,
                               const std::string& context) {
-  if (tok.size() != 16 ||
-      tok.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    return Status::IOError("bad double bit pattern '" + tok + "' in " +
-                           context);
-  }
-  uint64_t bits = std::strtoull(tok.c_str(), nullptr, 16);
   double d;
-  std::memcpy(&d, &bits, sizeof(d));
+  if (tok.size() != 16 || !DecodeHex16(tok.data(), &d)) {
+    return BadHexToken(tok, context);
+  }
   return d;
+}
+
+Status ParseHexDoubles(std::istringstream* in, double* out, size_t n,
+                       const std::string& what, const std::string& context) {
+  if (n == 0) return Status::OK();
+  const std::string_view text = in->view();
+  // A stream that is not good() fails its next `>>`, exactly like one
+  // already at the end of its buffer.
+  const size_t start =
+      in->good() ? static_cast<size_t>(std::streamoff(in->tellg()))
+                 : text.size();
+  const char* const end = text.data() + text.size();
+  const char* p = text.data() + std::min(start, text.size());
+  for (size_t i = 0; i < n; ++i) {
+    while (p != end && IsTokenSpace(*p)) ++p;
+    if (p == end) {
+      return Status::IOError("truncated " + what + " in " + context);
+    }
+    const bool whole_token =
+        end - p == 16 || (end - p > 16 && IsTokenSpace(p[16]));
+    if (!whole_token || !DecodeHex16(p, &out[i])) {
+      const char* tok_end = p;
+      while (tok_end != end && !IsTokenSpace(*tok_end)) ++tok_end;
+      return BadHexToken(std::string(p, tok_end), context);
+    }
+    p += 16;
+  }
+  in->seekg(static_cast<std::streamoff>(p - text.data()));
+  return Status::OK();
 }
 
 namespace internal {
@@ -224,7 +372,7 @@ Result<RetentionReport> ApplyGenerationRetention(
     bool valid = false;
     auto content = ReadFileToString(dir + "/" + name);
     if (content.ok()) {
-      valid = StripAndVerifyCrc32Trailer(content.ValueOrDie(),
+      valid = StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
                                          /*require_trailer=*/true,
                                          dir + "/" + name)
                   .ok();

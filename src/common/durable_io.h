@@ -1,6 +1,6 @@
 // Durable file IO primitives (DESIGN.md §8).
 //
-// Three building blocks shared by model/alignment writers, the trainer
+// Four building blocks shared by model/alignment writers, the trainer
 // checkpointer, and the bench cell cache:
 //
 //  * AtomicWriteFile — write-to-temp → fsync → rename, so a reader (or a
@@ -11,10 +11,13 @@
 //    truncation that slipped past the rename barrier (e.g. media faults).
 //  * RetryTransient — seeded, jittered exponential backoff for transient
 //    IO failures, bounded in attempts so persistent faults still surface.
+//  * The hex codec — HexDouble runs (AppendHexDoubles / ParseHexDoubles),
+//    the bit-exact text form of every persisted double.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -24,8 +27,8 @@ namespace galign {
 
 /// \brief CRC-32 (IEEE 802.3, reflected) of `data`.
 ///
-/// Software table implementation; check value: Crc32("123456789") ==
-/// 0xCBF43926. Fast enough for the small text payloads we durably persist.
+/// Software slicing-by-8 implementation (eight derived 256-entry tables,
+/// eight bytes per step); check value: Crc32("123456789") == 0xCBF43926.
 uint32_t Crc32(const void* data, size_t size);
 uint32_t Crc32(const std::string& data);
 
@@ -37,7 +40,8 @@ uint32_t Crc32(const std::string& data);
 /// full new content — never a prefix.
 [[nodiscard]] Status AtomicWriteFile(const std::string& path, const std::string& content);
 
-/// \brief Reads the entire file at `path` into a string.
+/// \brief Reads the entire file at `path` into a string (one read sized
+/// by fstat, then a probe for bytes appended since).
 [[nodiscard]] Result<std::string> ReadFileToString(const std::string& path);
 
 /// \brief Bit-exact text encoding of a double: the 16 lowercase hex digits
@@ -46,12 +50,37 @@ uint32_t Crc32(const std::string& data);
 /// operator<< at precision(17) round-trips finite values but istream >>
 /// refuses "inf"/"nan", and bit identity (not value identity) is the
 /// durability contract — so every persisted double goes through this.
+/// Single-value form of AppendHexDoubles.
 std::string HexDouble(double d);
 
+/// \brief Appends `n` doubles in HexDouble form: single spaces between
+/// values, a newline after every `per_line`-th value (0: one line) and
+/// after the last. Appends nothing when `n` is 0.
+///
+/// Every value takes exactly 17 bytes (16 digits plus its separator), so
+/// the run is sized once and filled from a 256-entry byte-to-digits table.
+void AppendHexDoubles(std::string* out, const double* values, size_t n,
+                      size_t per_line);
+
 /// \brief Inverse of HexDouble. IOError naming `context` when `tok` is not
-/// exactly 16 lowercase hex digits.
+/// exactly 16 lowercase hex digits. Single-value form of ParseHexDoubles.
 [[nodiscard]] Result<double> ParseHexDouble(const std::string& tok,
                                             const std::string& context);
+
+/// \brief Decodes `n` HexDouble tokens from `in` into `out`, leaving `in`
+/// positioned just past the last one.
+///
+/// Accepts exactly what `n` rounds of `in >> tok` + ParseHexDouble accept:
+/// a token is a maximal run of non-whitespace bytes (whitespace being the
+/// classic-locale set: space, \t, \n, \v, \f, \r), skipped whitespace may
+/// be any run of those, and each token must be 16 of [0-9a-f]. The stream
+/// buffer is read in place (view() plus tellg/seekg) instead of token by
+/// token. Errors, both IOError: "truncated <what> in <context>" when the
+/// input ends (or `in` is not good) before the n-th token, and
+/// "bad double bit pattern '<tok>' in <context>" for a malformed token.
+[[nodiscard]] Status ParseHexDoubles(std::istringstream* in, double* out,
+                                     size_t n, const std::string& what,
+                                     const std::string& context);
 
 /// Trailer line marking the CRC of everything before it in the file.
 inline constexpr char kCrcTrailerPrefix[] = "#crc32 ";
@@ -59,18 +88,19 @@ inline constexpr char kCrcTrailerPrefix[] = "#crc32 ";
 /// \brief Returns `payload` with a `#crc32 <hex>` trailer line appended.
 ///
 /// The checksum covers every byte before the trailer line (a trailing
-/// newline is added to the payload if missing, and is covered).
-std::string AppendCrc32Trailer(const std::string& payload);
+/// newline is added to the payload if missing, and is covered). The
+/// trailer is appended in place, so a moved-in payload is never copied.
+std::string AppendCrc32Trailer(std::string payload);
 
 /// \brief Verifies and removes a `#crc32` trailer.
 ///
 /// Returns the payload without the trailer. When `require_trailer` is
 /// false and no trailer is present the payload is returned as-is (legacy
 /// files written before checksumming); a present-but-wrong trailer is
-/// always an IOError mentioning "checksum mismatch".
-[[nodiscard]] Result<std::string> StripAndVerifyCrc32Trailer(const std::string& content,
-                                               bool require_trailer,
-                                               const std::string& context);
+/// always an IOError mentioning "checksum mismatch". The trailer is cut
+/// off in place, so a moved-in `content` is never copied.
+[[nodiscard]] Result<std::string> StripAndVerifyCrc32Trailer(
+    std::string content, bool require_trailer, const std::string& context);
 
 /// \brief Bounded retry schedule for transient IO faults.
 ///

@@ -21,9 +21,9 @@ constexpr char kManifestMagic[] = "galign-ckpt-manifest-v1";
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kCkptPrefix[] = "ckpt_";
 
-// Doubles are stored bit-exactly via common/durable_io.h HexDouble /
-// ParseHexDouble; matrix lists go through the shared core/model_io.h
-// EmitMatrixList / ParseMatrixList codec.
+// Doubles are stored bit-exactly through the common/durable_io.h hex codec
+// (HexDouble / AppendHexDoubles / ParseHexDoubles); matrix lists go through
+// the shared core/model_io.h EmitMatrixList / ParseMatrixList encoding.
 
 std::string CheckpointFileName(int epoch) {
   char buf[32];
@@ -47,26 +47,43 @@ int EpochOfFileName(const std::string& name) {
 }  // namespace
 
 std::string SerializeCheckpoint(const TrainerCheckpoint& ckpt) {
-  std::ostringstream out;
-  out << kMagic << "\n";
-  out << "epoch " << ckpt.epoch << "\n";
-  out << "lr " << HexDouble(ckpt.lr) << "\n";
-  out << "adam_step " << ckpt.adam_step << "\n";
-  out << "snapshot_loss " << HexDouble(ckpt.snapshot_loss) << "\n";
-  out << "best_loss " << HexDouble(ckpt.best_loss) << "\n";
-  out << "epochs_without_improvement " << ckpt.epochs_without_improvement
-      << "\n";
-  out << "epochs_run " << ckpt.epochs_run << "\n";
-  out << "steps_applied " << ckpt.steps_applied << "\n";
-  out << "rollbacks " << ckpt.rollbacks << "\n";
-  out << "rollback_epochs " << ckpt.rollback_epochs.size();
-  for (int e : ckpt.rollback_epochs) out << " " << e;
-  out << "\n";
-  out << "final_lr " << HexDouble(ckpt.final_lr) << "\n";
-  out << "final_loss " << HexDouble(ckpt.final_loss) << "\n";
-  out << "loss_history " << ckpt.loss_history.size();
-  for (double h : ckpt.loss_history) out << " " << HexDouble(h);
-  out << "\n";
+  std::string out;
+  auto line = [&out](const char* key, const std::string& value) {
+    out += key;
+    out += ' ';
+    out += value;
+    out += '\n';
+  };
+  out += kMagic;
+  out += '\n';
+  line("epoch", std::to_string(ckpt.epoch));
+  line("lr", HexDouble(ckpt.lr));
+  line("adam_step", std::to_string(ckpt.adam_step));
+  line("snapshot_loss", HexDouble(ckpt.snapshot_loss));
+  line("best_loss", HexDouble(ckpt.best_loss));
+  line("epochs_without_improvement",
+       std::to_string(ckpt.epochs_without_improvement));
+  line("epochs_run", std::to_string(ckpt.epochs_run));
+  line("steps_applied", std::to_string(ckpt.steps_applied));
+  line("rollbacks", std::to_string(ckpt.rollbacks));
+  out += "rollback_epochs ";
+  out += std::to_string(ckpt.rollback_epochs.size());
+  for (int e : ckpt.rollback_epochs) {
+    out += ' ';
+    out += std::to_string(e);
+  }
+  out += '\n';
+  line("final_lr", HexDouble(ckpt.final_lr));
+  line("final_loss", HexDouble(ckpt.final_loss));
+  out += "loss_history ";
+  out += std::to_string(ckpt.loss_history.size());
+  if (ckpt.loss_history.empty()) {
+    out += '\n';
+  } else {
+    out += ' ';
+    AppendHexDoubles(&out, ckpt.loss_history.data(), ckpt.loss_history.size(),
+                     /*per_line=*/0);
+  }
   // mt19937_64 serializes to whitespace-separated integers; token count is
   // recorded so the parser knows how many to consume.
   {
@@ -74,21 +91,19 @@ std::string SerializeCheckpoint(const TrainerCheckpoint& ckpt) {
     std::string tok;
     size_t n = 0;
     while (count_rng >> tok) ++n;
-    out << "rng " << n;
-    if (n) out << " " << ckpt.rng_state;
-    out << "\n";
+    line("rng", n ? std::to_string(n) + ' ' + ckpt.rng_state : "0");
   }
   EmitMatrixList(&out, "weights", ckpt.weights);
   EmitMatrixList(&out, "adam_m", ckpt.adam_m);
   EmitMatrixList(&out, "adam_v", ckpt.adam_v);
   EmitMatrixList(&out, "snapshot", ckpt.snapshot);
-  out << "end\n";
-  return out.str();
+  out += "end\n";
+  return out;
 }
 
-Result<TrainerCheckpoint> ParseCheckpoint(const std::string& payload,
+Result<TrainerCheckpoint> ParseCheckpoint(std::string payload,
                                           const std::string& context) {
-  std::istringstream in(payload);
+  std::istringstream in(std::move(payload));
   std::string tok;
   if (!(in >> tok) || tok != kMagic) {
     return Status::IOError("not a galign checkpoint (bad magic) in " +
@@ -113,14 +128,8 @@ Result<TrainerCheckpoint> ParseCheckpoint(const std::string& payload,
   };
   auto read_double = [&](const char* key, double* value) -> Status {
     GALIGN_RETURN_NOT_OK(expect_key(key));
-    if (!(in >> tok)) {
-      return Status::IOError("truncated at '" + std::string(key) + "' in " +
-                             context);
-    }
-    auto v = ParseHexDouble(tok, context);
-    GALIGN_RETURN_NOT_OK(v.status());
-    *value = v.ValueOrDie();
-    return Status::OK();
+    return ParseHexDoubles(&in, value, 1, "at '" + std::string(key) + "'",
+                           context);
   };
 
   GALIGN_RETURN_NOT_OK(read_int("epoch", &ckpt.epoch));
@@ -154,14 +163,8 @@ Result<TrainerCheckpoint> ParseCheckpoint(const std::string& payload,
     return Status::IOError("absurd loss_history count in " + context);
   }
   ckpt.loss_history.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    if (!(in >> tok)) {
-      return Status::IOError("truncated loss_history in " + context);
-    }
-    auto v = ParseHexDouble(tok, context);
-    GALIGN_RETURN_NOT_OK(v.status());
-    ckpt.loss_history[i] = v.ValueOrDie();
-  }
+  GALIGN_RETURN_NOT_OK(ParseHexDoubles(&in, ckpt.loss_history.data(), count,
+                                       "loss_history", context));
 
   GALIGN_RETURN_NOT_OK(read_int("rng", &count));
   if (count > 1u << 16) {
@@ -232,7 +235,7 @@ std::vector<std::string> CheckpointManager::Candidates() const {
   auto content = ReadFileToString(ManifestPath());
   if (content.ok()) {
     auto payload = StripAndVerifyCrc32Trailer(
-        content.ValueOrDie(), /*require_trailer=*/true, ManifestPath());
+        content.MoveValueOrDie(), /*require_trailer=*/true, ManifestPath());
     if (payload.ok()) {
       std::istringstream in(payload.ValueOrDie());
       std::string tok;
@@ -288,7 +291,7 @@ Result<TrainerCheckpoint> CheckpointManager::LoadLatest() const {
       note(content.status().message());
       continue;
     }
-    auto payload = StripAndVerifyCrc32Trailer(content.ValueOrDie(),
+    auto payload = StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
                                               /*require_trailer=*/true, path);
     if (!payload.ok()) {
       GALIGN_LOG(Warning) << "Checkpoint " << path << " failed validation ("
@@ -297,7 +300,7 @@ Result<TrainerCheckpoint> CheckpointManager::LoadLatest() const {
       note(payload.status().message());
       continue;
     }
-    auto ckpt = ParseCheckpoint(payload.ValueOrDie(), path);
+    auto ckpt = ParseCheckpoint(payload.MoveValueOrDie(), path);
     if (!ckpt.ok()) {
       GALIGN_LOG(Warning) << "Checkpoint " << path << " corrupt ("
                           << ckpt.status().message() << "); trying previous";

@@ -68,8 +68,8 @@ std::string SerializeCheckpoint(const TrainerCheckpoint& ckpt);
 
 /// \brief Parses a checkpoint payload (trailer already stripped). `context`
 /// names the source in error messages.
-[[nodiscard]] Result<TrainerCheckpoint> ParseCheckpoint(const std::string& payload,
-                                          const std::string& context);
+[[nodiscard]] Result<TrainerCheckpoint> ParseCheckpoint(
+    std::string payload, const std::string& context);
 
 /// \brief Writes/reads checkpoints under one directory.
 ///

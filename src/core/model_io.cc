@@ -32,16 +32,18 @@ Result<Activation> ParseActivation(const std::string& name) {
 
 }  // namespace
 
-void EmitMatrixList(std::ostringstream* out, const char* key,
+void EmitMatrixList(std::string* out, const char* key,
                     const std::vector<Matrix>& ms) {
-  *out << key << " " << ms.size() << "\n";
+  *out += key;
+  *out += ' ';
+  *out += std::to_string(ms.size());
+  *out += '\n';
   for (const Matrix& m : ms) {
-    *out << m.rows() << " " << m.cols() << "\n";
-    for (int64_t i = 0; i < m.size(); ++i) {
-      if (i) *out << (i % 8 == 0 ? "\n" : " ");
-      *out << HexDouble(m.data()[i]);
-    }
-    if (m.size()) *out << "\n";
+    *out += std::to_string(m.rows());
+    *out += ' ';
+    *out += std::to_string(m.cols());
+    *out += '\n';
+    AppendHexDoubles(out, m.data(), static_cast<size_t>(m.size()), 8);
   }
 }
 
@@ -66,15 +68,9 @@ Status ParseMatrixList(std::istringstream* in, const char* key,
                              "' in " + context);
     }
     Matrix m(rows, cols);
-    for (int64_t i = 0; i < m.size(); ++i) {
-      if (!(*in >> tok)) {
-        return Status::IOError("truncated matrix under '" + std::string(key) +
-                               "' in " + context);
-      }
-      auto v = ParseHexDouble(tok, context);
-      GALIGN_RETURN_NOT_OK(v.status());
-      m.data()[i] = v.ValueOrDie();
-    }
+    GALIGN_RETURN_NOT_OK(ParseHexDoubles(
+        in, m.data(), static_cast<size_t>(m.size()),
+        "matrix under '" + std::string(key) + "'", context));
     out->push_back(std::move(m));
   }
   return Status::OK();

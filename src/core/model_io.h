@@ -14,15 +14,15 @@
 
 namespace galign {
 
-/// \brief Emits `key <count>` then each matrix as `rows cols` + hex-encoded
-/// (bit-exact) doubles — the shared durable matrix-list encoding used by
-/// trainer checkpoints and the serving artifact.
-void EmitMatrixList(std::ostringstream* out, const char* key,
+/// \brief Appends `key <count>` then each matrix as `rows cols` + hex-encoded
+/// (bit-exact) doubles, 8 per line — the shared durable matrix-list
+/// encoding used by trainer checkpoints and the serving artifact.
+void EmitMatrixList(std::string* out, const char* key,
                     const std::vector<Matrix>& ms);
 
-/// \brief Inverse of EmitMatrixList. Every defect (wrong key, absurd or
-/// overflowing shape, truncated or malformed payload) is an IOError naming
-/// `context`.
+/// \brief Inverse of EmitMatrixList; matrix bodies go through
+/// ParseHexDoubles. Every defect (wrong key, absurd or overflowing shape,
+/// truncated or malformed payload) is an IOError naming `context`.
 [[nodiscard]] Status ParseMatrixList(std::istringstream* in, const char* key,
                                      std::vector<Matrix>* out,
                                      const std::string& context);

@@ -68,9 +68,14 @@ Status ReadRawSection(std::istringstream* in, const char* key,
   return Status::OK();
 }
 
-void EmitRawSection(std::ostringstream* out, const char* key,
+void EmitRawSection(std::string* out, const char* key,
                     const std::string& payload) {
-  *out << key << " " << payload.size() << "\n" << payload << "\n";
+  *out += key;
+  *out += ' ';
+  *out += std::to_string(payload.size());
+  *out += '\n';
+  *out += payload;
+  *out += '\n';
 }
 
 }  // namespace
@@ -159,35 +164,56 @@ uint64_t AlignmentIndex::MemoryBytes() const {
 }
 
 std::string AlignmentIndex::Serialize() const {
-  std::ostringstream out;
-  out << kArtifactMagic << "\n";
-  out << "theta " << theta_.size();
-  for (double t : theta_) out << " " << HexDouble(t);
-  out << "\n";
-  EmitRawSection(&out, "model", SerializeGcnModel(*gcn_));
+  const std::string model = SerializeGcnModel(*gcn_);
+  const std::string ann = SerializeAnnRecipe(*ann_, ann_config_);
+  // Sized up front (17 bytes per hex double, at most 21 per anchor id, and
+  // room for headers plus the CRC trailer) so the multi-megabyte payload
+  // is written once instead of regrown.
+  size_t doubles = theta_.size() + anchors_.score.size();
+  for (const auto* layers : {&source_layers_, &target_layers_}) {
+    for (const Matrix& m : *layers) doubles += static_cast<size_t>(m.size());
+  }
+  std::string out;
+  out.reserve(17 * doubles + 21 * anchors_.index.size() + model.size() +
+              ann.size() +
+              64 * (source_layers_.size() + target_layers_.size()) + 256);
+
+  out += kArtifactMagic;
+  out += "\ntheta ";
+  out += std::to_string(theta_.size());
+  if (theta_.empty()) {
+    out += '\n';
+  } else {
+    out += ' ';
+    AppendHexDoubles(&out, theta_.data(), theta_.size(), /*per_line=*/0);
+  }
+  EmitRawSection(&out, "model", model);
   EmitMatrixList(&out, "source_layers", source_layers_);
   EmitMatrixList(&out, "target_layers", target_layers_);
-  EmitRawSection(&out, "ann", SerializeAnnRecipe(*ann_, ann_config_));
-  out << "anchors " << anchors_.rows << " " << anchors_.cols << " "
-      << anchors_.k << " " << anchors_.rows_computed << "\n";
+  EmitRawSection(&out, "ann", ann);
+  out += "anchors";
+  for (int64_t v : {anchors_.rows, anchors_.cols, anchors_.k,
+                    anchors_.rows_computed}) {
+    out += ' ';
+    out += std::to_string(v);
+  }
+  out += '\n';
   for (size_t i = 0; i < anchors_.index.size(); ++i) {
-    if (i) out << (i % 16 == 0 ? "\n" : " ");
-    out << anchors_.index[i];
+    if (i) out += (i % 16 == 0 ? '\n' : ' ');
+    out += std::to_string(anchors_.index[i]);
   }
-  if (!anchors_.index.empty()) out << "\n";
-  for (size_t i = 0; i < anchors_.score.size(); ++i) {
-    if (i) out << (i % 8 == 0 ? "\n" : " ");
-    out << HexDouble(anchors_.score[i]);
-  }
-  if (!anchors_.score.empty()) out << "\n";
-  out << "end\n";
-  return out.str();
+  if (!anchors_.index.empty()) out += '\n';
+  AppendHexDoubles(&out, anchors_.score.data(), anchors_.score.size(),
+                   /*per_line=*/8);
+  out += "end\n";
+  return out;
 }
 
 Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Parse(
-    const std::string& payload, const std::string& context,
-    const RunContext& ctx) {
-  std::istringstream in(payload);
+    std::string payload, const std::string& context, const RunContext& ctx) {
+  // The stream takes the payload over; hex runs are decoded from its
+  // buffer in place (ParseHexDoubles), so nothing here copies it again.
+  std::istringstream in(std::move(payload));
   std::string tok;
   if (!(in >> tok) || tok != kArtifactMagic) {
     return Status::IOError("not an alignment artifact (bad magic) in " +
@@ -202,14 +228,8 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Parse(
     return Status::IOError("expected 'theta <count>' in " + context);
   }
   out->theta_.resize(theta_count);
-  for (size_t i = 0; i < theta_count; ++i) {
-    if (!(in >> tok)) {
-      return Status::IOError("truncated theta in " + context);
-    }
-    auto v = ParseHexDouble(tok, context);
-    GALIGN_RETURN_NOT_OK(v.status());
-    out->theta_[i] = v.ValueOrDie();
-  }
+  GALIGN_RETURN_NOT_OK(ParseHexDoubles(&in, out->theta_.data(), theta_count,
+                                       "theta", context));
 
   std::string model_payload;
   GALIGN_RETURN_NOT_OK(ReadRawSection(&in, "model", &model_payload, context));
@@ -248,14 +268,8 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Parse(
       return Status::IOError("bad anchor index in " + context);
     }
   }
-  for (size_t i = 0; i < a.score.size(); ++i) {
-    if (!(in >> tok)) {
-      return Status::IOError("truncated anchor scores in " + context);
-    }
-    auto v = ParseHexDouble(tok, context);
-    GALIGN_RETURN_NOT_OK(v.status());
-    a.score[i] = v.ValueOrDie();
-  }
+  GALIGN_RETURN_NOT_OK(ParseHexDoubles(&in, a.score.data(), a.score.size(),
+                                       "anchor scores", context));
   if (!(in >> tok) || tok != "end") {
     return Status::IOError("missing 'end' sentinel in " + context);
   }
@@ -338,7 +352,7 @@ std::vector<std::string> AlignmentIndexStore::Candidates() const {
   auto content = ReadFileToString(ManifestPath());
   if (content.ok()) {
     auto payload = StripAndVerifyCrc32Trailer(
-        content.ValueOrDie(), /*require_trailer=*/true, ManifestPath());
+        content.MoveValueOrDie(), /*require_trailer=*/true, ManifestPath());
     if (payload.ok()) {
       std::istringstream in(payload.ValueOrDie());
       std::string tok;
@@ -379,10 +393,10 @@ AlignmentIndexStore::LoadGeneration(int gen, const RunContext& ctx) const {
                             " unreadable: " +
                             std::string(content.status().message()));
   }
-  auto payload = StripAndVerifyCrc32Trailer(content.ValueOrDie(),
+  auto payload = StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
                                             /*require_trailer=*/true, path);
   GALIGN_RETURN_NOT_OK(payload.status());
-  return AlignmentIndex::Parse(payload.ValueOrDie(), path, ctx);
+  return AlignmentIndex::Parse(payload.MoveValueOrDie(), path, ctx);
 }
 
 Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndexStore::LoadLatest(
@@ -410,7 +424,7 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndexStore::LoadLatest(
       note(content.status().message());
       continue;
     }
-    auto payload = StripAndVerifyCrc32Trailer(content.ValueOrDie(),
+    auto payload = StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
                                               /*require_trailer=*/true, path);
     if (!payload.ok()) {
       GALIGN_LOG(Warning) << "Artifact " << path << " failed validation ("
@@ -418,7 +432,7 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndexStore::LoadLatest(
       note(payload.status().message());
       continue;
     }
-    auto index = AlignmentIndex::Parse(payload.ValueOrDie(), path, ctx);
+    auto index = AlignmentIndex::Parse(payload.MoveValueOrDie(), path, ctx);
     if (!index.ok()) {
       GALIGN_LOG(Warning) << "Artifact " << path << " corrupt ("
                           << index.status().message() << "); trying previous";

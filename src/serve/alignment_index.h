@@ -68,6 +68,9 @@ class AlignmentIndex {
   int64_t anchor_k() const { return anchors_.k; }
   const std::vector<double>& theta() const { return theta_; }
   const MultiOrderGcn& model() const { return *gcn_; }
+  /// Per-layer embeddings of each side, as the artifact stores them.
+  const std::vector<Matrix>& source_layers() const { return source_layers_; }
+  const std::vector<Matrix>& target_layers() const { return target_layers_; }
   /// Theta-scaled source concatenation: row v is the ready-made ANN query
   /// for source node v.
   const Matrix& queries() const { return queries_; }
@@ -89,9 +92,10 @@ class AlignmentIndex {
 
   /// \brief Verify-or-reject parse: every section is validated (shapes,
   /// hex payloads, ANN fingerprint) and any defect is a typed IOError
-  /// naming `context` — never a partially-initialized artifact.
+  /// naming `context` — never a partially-initialized artifact. Takes the
+  /// payload by value: a moved-in payload is parsed without a copy.
   [[nodiscard]] static Result<std::shared_ptr<const AlignmentIndex>> Parse(
-      const std::string& payload, const std::string& context,
+      std::string payload, const std::string& context,
       const RunContext& ctx = RunContext());
 
  private:

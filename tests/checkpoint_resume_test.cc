@@ -6,13 +6,16 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/durable_io.h"
 #include "common/fault.h"
 #include "core/checkpoint.h"
 #include "core/trainer.h"
@@ -296,6 +299,103 @@ TEST_F(CheckpointResumeTest, CheckpointSerializationRoundTrips) {
   std::istringstream is(back.rng_state);
   is >> restored;
   EXPECT_EQ(restored(), engine());
+}
+
+// The checkpoint writer as it was before the hex-run codec: one HexDouble
+// per value through an ostringstream. SerializeCheckpoint() must keep
+// producing exactly these bytes, so old checkpoints stay resumable.
+std::string ReferenceSerializeCheckpoint(const TrainerCheckpoint& ckpt) {
+  std::ostringstream out;
+  auto matrices = [&out](const char* key, const std::vector<Matrix>& ms) {
+    out << key << " " << ms.size() << "\n";
+    for (const Matrix& m : ms) {
+      out << m.rows() << " " << m.cols() << "\n";
+      for (int64_t i = 0; i < m.size(); ++i) {
+        if (i) out << (i % 8 == 0 ? "\n" : " ");
+        out << HexDouble(m.data()[i]);
+      }
+      if (m.size()) out << "\n";
+    }
+  };
+  out << "galign-ckpt-v1\n";
+  out << "epoch " << ckpt.epoch << "\n";
+  out << "lr " << HexDouble(ckpt.lr) << "\n";
+  out << "adam_step " << ckpt.adam_step << "\n";
+  out << "snapshot_loss " << HexDouble(ckpt.snapshot_loss) << "\n";
+  out << "best_loss " << HexDouble(ckpt.best_loss) << "\n";
+  out << "epochs_without_improvement " << ckpt.epochs_without_improvement
+      << "\n";
+  out << "epochs_run " << ckpt.epochs_run << "\n";
+  out << "steps_applied " << ckpt.steps_applied << "\n";
+  out << "rollbacks " << ckpt.rollbacks << "\n";
+  out << "rollback_epochs " << ckpt.rollback_epochs.size();
+  for (int e : ckpt.rollback_epochs) out << " " << e;
+  out << "\n";
+  out << "final_lr " << HexDouble(ckpt.final_lr) << "\n";
+  out << "final_loss " << HexDouble(ckpt.final_loss) << "\n";
+  out << "loss_history " << ckpt.loss_history.size();
+  for (double h : ckpt.loss_history) out << " " << HexDouble(h);
+  out << "\n";
+  std::istringstream count_rng(ckpt.rng_state);
+  std::string tok;
+  size_t n = 0;
+  while (count_rng >> tok) ++n;
+  out << "rng " << n;
+  if (n) out << " " << ckpt.rng_state;
+  out << "\n";
+  matrices("weights", ckpt.weights);
+  matrices("adam_m", ckpt.adam_m);
+  matrices("adam_v", ckpt.adam_v);
+  matrices("snapshot", ckpt.snapshot);
+  out << "end\n";
+  return out.str();
+}
+
+TEST_F(CheckpointResumeTest, SerializationMatchesPerValueReferenceEmitter) {
+  TrainerCheckpoint ckpt;
+  ckpt.epoch = 12;
+  ckpt.lr = 0.01 / 7.0;
+  ckpt.adam_step = 40;
+  for (auto [rows, cols] : {std::pair<int64_t, int64_t>{5, 3}, {3, 2}}) {
+    Matrix w(rows, cols), m(rows, cols), v(rows, cols);
+    for (int64_t i = 0; i < w.size(); ++i) {
+      w.data()[i] = std::sin(1.0 + static_cast<double>(i));
+      m.data()[i] = 0.5 * w.data()[i];
+      v.data()[i] = w.data()[i] * w.data()[i];
+    }
+    ckpt.weights.push_back(w);
+    ckpt.adam_m.push_back(m);
+    ckpt.adam_v.push_back(v);
+  }
+  ckpt.snapshot = ckpt.weights;
+  ckpt.snapshot_loss = -0.0;
+  ckpt.best_loss = std::numeric_limits<double>::infinity();
+  ckpt.loss_history = {4.0, 3.25, 1.0 / 3.0};
+  ckpt.rollback_epochs = {2, 9};
+  ckpt.final_lr = ckpt.lr;
+  ckpt.final_loss = 1.0 / 3.0;
+  std::ostringstream engine_state;
+  engine_state << std::mt19937_64(9);
+  ckpt.rng_state = engine_state.str();
+
+  const std::string payload = SerializeCheckpoint(ckpt);
+  EXPECT_EQ(payload, ReferenceSerializeCheckpoint(ckpt));
+  // An empty history and rng state keep their one-line form too.
+  TrainerCheckpoint bare;
+  EXPECT_EQ(SerializeCheckpoint(bare), ReferenceSerializeCheckpoint(bare));
+
+  // The framed file is the reference bytes plus the CRC trailer, and it
+  // loads back bit for bit.
+  CheckpointManager mgr(Dir("ref"));
+  ASSERT_TRUE(mgr.Save(ckpt).ok());
+  std::ifstream file(Dir("ref") + "/ckpt_00000012", std::ios::binary);
+  std::stringstream bytes;
+  bytes << file.rdbuf();
+  EXPECT_EQ(bytes.str(),
+            AppendCrc32Trailer(ReferenceSerializeCheckpoint(ckpt)));
+  auto back = mgr.LoadLatest();
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(SerializeCheckpoint(back.ValueOrDie()), payload);
 }
 
 TEST_F(CheckpointResumeTest, ManagerReportsNotFoundOnEmptyDir) {

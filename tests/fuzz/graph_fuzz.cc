@@ -12,6 +12,7 @@
 //
 // Deterministic: `graph_fuzz --seed S --iters N` replays bit for bit, and a
 // failure report prints the seed and iteration to reproduce.
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +41,7 @@
 #include "baselines/unialign.h"
 #include "common/fault.h"
 #include "core/galign.h"
+#include "core/model_io.h"
 #include "common/durable_io.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -259,10 +262,144 @@ const std::string& GoldenArtifactPayload() {
   return *payload;
 }
 
+// Bitwise equality of two double arrays; memcmp must not be handed the
+// null data() of an empty container.
+bool SameBits(const double* a, const double* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+// The single-token check as it was before the codec (find_first_not_of +
+// strtoull), independent of the codec's tables.
+Result<double> ReferenceParseHexToken(const std::string& tok,
+                                      const std::string& context) {
+  if (tok.size() != 16 ||
+      tok.find_first_not_of("0123456789abcdef") != std::string::npos) {
+    return Status::IOError("bad double bit pattern '" + tok + "' in " +
+                           context);
+  }
+  const uint64_t bits = std::strtoull(tok.c_str(), nullptr, 16);
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+/// The matrix-list decoder as it was before the hex-run codec: one `>>`
+/// token per value, each checked by ReferenceParseHexToken. Kept as the
+/// reference the codec is fuzzed against, so the accepted format cannot
+/// drift.
+Status ReferenceParseMatrixList(std::istringstream* in, const char* key,
+                                std::vector<Matrix>* out,
+                                const std::string& context) {
+  std::string tok;
+  size_t count = 0;
+  if (!(*in >> tok) || tok != key || !(*in >> count) || count > 4096) {
+    return Status::IOError("expected '" + std::string(key) +
+                           " <count>' in " + context);
+  }
+  out->clear();
+  for (size_t k = 0; k < count; ++k) {
+    int64_t rows = -1, cols = -1;
+    if (!(*in >> rows >> cols) || rows < 0 || cols < 0 ||
+        rows > (int64_t{1} << 30) || cols > (int64_t{1} << 30) ||
+        rows * cols > (int64_t{1} << 32)) {
+      return Status::IOError("bad matrix shape under '" + std::string(key) +
+                             "' in " + context);
+    }
+    Matrix m(rows, cols);
+    for (int64_t i = 0; i < m.size(); ++i) {
+      if (!(*in >> tok)) {
+        return Status::IOError("truncated matrix under '" + std::string(key) +
+                               "' in " + context);
+      }
+      auto v = ReferenceParseHexToken(tok, context);
+      if (!v.ok()) return v.status();
+      m.data()[i] = v.ValueOrDie();
+    }
+    out->push_back(std::move(m));
+  }
+  return Status::OK();
+}
+
+/// After a decode from the same bytes, both streams must resume at the
+/// same next token (or both be exhausted).
+bool SameNextToken(std::istringstream* a, std::istringstream* b) {
+  std::string ta, tb;
+  const bool more_a = static_cast<bool>(*a >> ta);
+  const bool more_b = static_cast<bool>(*b >> tb);
+  return more_a == more_b && ta == tb;
+}
+
+/// Differential check of the codec on (possibly corrupted) artifact bytes:
+/// the `key` matrix list at `offset` decoded by ParseMatrixList and by the
+/// reference must agree on accept/reject (message included), on every
+/// decoded bit, and on where the stream resumes.
+FuzzFailure DiffMatrixList(const std::string& bytes, size_t offset,
+                           const char* key) {
+  std::istringstream codec_in(bytes);
+  std::istringstream ref_in(bytes);
+  codec_in.seekg(static_cast<std::streamoff>(offset));
+  ref_in.seekg(static_cast<std::streamoff>(offset));
+  std::vector<Matrix> got, want;
+  const Status got_st = ParseMatrixList(&codec_in, key, &got, "fuzz");
+  const Status want_st = ReferenceParseMatrixList(&ref_in, key, &want, "fuzz");
+  FUZZ_CHECK(got_st.ToString() == want_st.ToString(), "artifact.diff",
+             "codec says '" + got_st.ToString() + "', reference says '" +
+                 want_st.ToString() + "'");
+  if (!got_st.ok()) return kOk;
+  FUZZ_CHECK(got.size() == want.size(), "artifact.diff", "matrix count");
+  for (size_t k = 0; k < got.size(); ++k) {
+    FUZZ_CHECK(got[k].rows() == want[k].rows() &&
+                   got[k].cols() == want[k].cols() &&
+                   SameBits(got[k].data(), want[k].data(),
+                            static_cast<size_t>(got[k].size())),
+               "artifact.diff", "decoded bits differ under " + std::string(key));
+  }
+  FUZZ_CHECK(SameNextToken(&codec_in, &ref_in), "artifact.diff",
+             "streams resume at different tokens");
+  return kOk;
+}
+
+/// Differential check of one raw hex run: `n` values from a seeded offset,
+/// which may land mid-token, in the model section, or past the end.
+FuzzFailure DiffHexRun(const std::string& bytes, Rng* rng) {
+  const size_t offset = static_cast<size_t>(
+      rng->UniformInt(static_cast<int64_t>(bytes.size()) + 1));
+  const size_t n = static_cast<size_t>(1 + rng->UniformInt(64));
+  std::istringstream codec_in(bytes);
+  std::istringstream ref_in(bytes);
+  codec_in.seekg(static_cast<std::streamoff>(offset));
+  ref_in.seekg(static_cast<std::streamoff>(offset));
+  std::vector<double> got(n), want(n);
+  const Status got_st =
+      ParseHexDoubles(&codec_in, got.data(), n, "run", "fuzz");
+  Status want_st = Status::OK();
+  std::string tok;
+  for (size_t i = 0; i < n && want_st.ok(); ++i) {
+    if (!(ref_in >> tok)) {
+      want_st = Status::IOError("truncated run in fuzz");
+      break;
+    }
+    auto v = ReferenceParseHexToken(tok, "fuzz");
+    want_st = v.status();
+    if (v.ok()) want[i] = v.ValueOrDie();
+  }
+  FUZZ_CHECK(got_st.ToString() == want_st.ToString(), "artifact.diff.run",
+             "codec says '" + got_st.ToString() + "', reference says '" +
+                 want_st.ToString() + "'");
+  if (!got_st.ok()) return kOk;
+  FUZZ_CHECK(SameBits(got.data(), want.data(), n),
+             "artifact.diff.run", "decoded bits differ");
+  FUZZ_CHECK(SameNextToken(&codec_in, &ref_in), "artifact.diff.run",
+             "streams resume at different tokens");
+  return kOk;
+}
+
 /// Truncates or bit-flips serialized artifact bytes at seeded offsets and
 /// asserts the verify-or-reject contract: Parse / AlignmentIndexStore
 /// either reject with a clean typed Status or accept a self-consistent
-/// index — never crash, hang, or return a torn artifact.
+/// index — never crash, hang, or return a torn artifact. The corrupted
+/// bytes are also decoded by the hex codec and by the token-loop reference
+/// it replaced, which must agree exactly.
 FuzzFailure FuzzArtifact(const std::string& tmp_prefix, Rng* rng) {
   const std::string& golden = GoldenArtifactPayload();
   if (golden.empty()) {
@@ -280,6 +417,32 @@ FuzzFailure FuzzArtifact(const std::string& tmp_prefix, Rng* rng) {
           static_cast<char>(1 << rng->UniformInt(8));
     }
   }
+  if (rng->Bernoulli(0.5)) {
+    // Respelled separators: runs of the other whitespace the `>>`
+    // tokenizer skips, which the codec must skip identically.
+    static const char* const kRuns[] = {"\t", "\v", "\f", "\r",
+                                        "\r\n", "  ", " \v\n"};
+    const int64_t respells = 1 + rng->UniformInt(32);
+    for (int64_t i = 0; i < respells && !bytes.empty(); ++i) {
+      const size_t at = bytes.find_first_of(
+          " \n", static_cast<size_t>(rng->UniformInt(
+                     static_cast<int64_t>(bytes.size()))));
+      if (at == std::string::npos) continue;
+      bytes.replace(at, 1, kRuns[rng->UniformInt(std::size(kRuns))]);
+    }
+  }
+
+  for (const char* key : {"source_layers", "target_layers"}) {
+    // The section where the corruption left it, else where it was.
+    size_t offset = bytes.find(key);
+    if (offset == std::string::npos) {
+      offset = std::min(golden.find(key), bytes.size());
+    }
+    const FuzzFailure diff = DiffMatrixList(bytes, offset, key);
+    if (Failed(diff)) return diff;
+  }
+  const FuzzFailure diff = DiffHexRun(bytes, rng);
+  if (Failed(diff)) return diff;
 
   auto parsed = AlignmentIndex::Parse(bytes, "graph_fuzz artifact");
   if (parsed.ok()) {
@@ -616,13 +779,10 @@ FuzzFailure RunIteration(uint64_t seed, int64_t iter,
   FuzzFailure f = FuzzLoaders(tmp_prefix, &rng);
   if (Failed(f)) return f;
 
-  // Serving-artifact decoder under seeded corruption (every other
-  // iteration: the stage re-parses a full artifact, which dominates the
-  // iteration cost when it runs).
-  if (rng.Bernoulli(0.5)) {
-    f = FuzzArtifact(tmp_prefix, &rng);
-    if (Failed(f)) return f;
-  }
+  // Serving-artifact decoder under seeded corruption, every iteration: the
+  // hex-run codec made the full re-parse cheap next to the aligner stage.
+  f = FuzzArtifact(tmp_prefix, &rng);
+  if (Failed(f)) return f;
 
   // Hot-swap quarantine under a live watcher (every fourth iteration: it
   // spins up a server + watcher and reloads a full candidate artifact).

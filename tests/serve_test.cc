@@ -10,12 +10,16 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <sstream>
 #include <string>
 #include <vector>
 #include <unistd.h>
 
+#include "common/durable_io.h"
 #include "common/fault.h"
 #include "core/checkpoint.h"
+#include "core/model_io.h"
+#include "graph/ann/ann_io.h"
 #include "graph/generators.h"
 #include "graph/noise.h"
 #include "serve/alignment_index.h"
@@ -119,6 +123,64 @@ TEST_F(ServeTest, ParseRoundTripsBitExactly) {
   EXPECT_EQ(qa.ValueOrDie().index, qb.ValueOrDie().index);
   EXPECT_EQ(qa.ValueOrDie().score, qb.ValueOrDie().score);
   EXPECT_EQ(payload, b.Serialize());
+}
+
+// The artifact writer as it was before the hex-run codec: one HexDouble per
+// value through an ostringstream. Serialize() must keep producing exactly
+// these bytes, so artifacts stay loadable across versions.
+std::string ReferenceSerialize(const AlignmentIndex& index) {
+  std::ostringstream out;
+  auto raw = [&out](const char* key, const std::string& payload) {
+    out << key << " " << payload.size() << "\n" << payload << "\n";
+  };
+  auto matrices = [&out](const char* key, const std::vector<Matrix>& ms) {
+    out << key << " " << ms.size() << "\n";
+    for (const Matrix& m : ms) {
+      out << m.rows() << " " << m.cols() << "\n";
+      for (int64_t i = 0; i < m.size(); ++i) {
+        if (i) out << (i % 8 == 0 ? "\n" : " ");
+        out << HexDouble(m.data()[i]);
+      }
+      if (m.size()) out << "\n";
+    }
+  };
+  out << "galign-aidx-v1\n";
+  out << "theta " << index.theta().size();
+  for (double t : index.theta()) out << " " << HexDouble(t);
+  out << "\n";
+  raw("model", SerializeGcnModel(index.model()));
+  matrices("source_layers", index.source_layers());
+  matrices("target_layers", index.target_layers());
+  raw("ann", SerializeAnnRecipe(index.ann(), index.ann_config()));
+  const TopKAlignment& a = index.anchors();
+  out << "anchors " << a.rows << " " << a.cols << " " << a.k << " "
+      << a.rows_computed << "\n";
+  for (size_t i = 0; i < a.index.size(); ++i) {
+    if (i) out << (i % 16 == 0 ? "\n" : " ");
+    out << a.index[i];
+  }
+  if (!a.index.empty()) out << "\n";
+  for (size_t i = 0; i < a.score.size(); ++i) {
+    if (i) out << (i % 8 == 0 ? "\n" : " ");
+    out << HexDouble(a.score[i]);
+  }
+  if (!a.score.empty()) out << "\n";
+  out << "end\n";
+  return out.str();
+}
+
+TEST_F(ServeTest, SerializeMatchesPerValueReferenceEmitter) {
+  const std::string payload = Index()->Serialize();
+  EXPECT_EQ(payload, ReferenceSerialize(*Index()));
+  // And the framed file is what the store writes and reads back.
+  AlignmentIndexStore store(Dir("ref"));
+  ASSERT_TRUE(store.Save(*Index()).ok());
+  auto file = ReadFileToString(store.GenerationPath(1));
+  ASSERT_TRUE(file.ok());
+  EXPECT_EQ(file.ValueOrDie(), AppendCrc32Trailer(ReferenceSerialize(*Index())));
+  auto loaded = store.LoadGeneration(1);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.ValueOrDie()->Serialize(), payload);
 }
 
 TEST_F(ServeTest, ParseRejectsTamperedTargetLayers) {
