@@ -308,7 +308,7 @@ std::string ArtifactBenchDir(const char* name) {
 void BM_ArtifactSave(benchmark::State& state) {
   std::shared_ptr<const AlignmentIndex> index = SharedIndex();
   const std::string dir = ArtifactBenchDir("artifact_save");
-  const std::string path = dir + "/aidx_00000001";
+  const std::string path = AlignmentIndexStore(dir).GenerationPath(1);
   int64_t bytes = 0;
   for (auto _ : state) {
     const std::string framed = AppendCrc32Trailer(index->Serialize());

@@ -11,10 +11,14 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <string_view>
 #include <thread>
+#include <utility>
+
+#include "common/logging.h"
 
 namespace galign {
 
@@ -353,78 +357,156 @@ void BackoffSleep(const RetryPolicy& policy, int attempt, double floor_ms) {
 
 }  // namespace internal
 
-Result<RetentionReport> ApplyGenerationRetention(
-    const std::string& dir, const std::string& manifest_magic,
-    const std::function<int(const std::string&)>& gen_of, int keep,
-    int pinned_gen) {
-  keep = std::max(1, keep);
-  struct Entry {
-    std::string name;
-    int gen;
-    bool valid;
-  };
-  std::vector<Entry> entries;
-  std::error_code ec;
-  for (const auto& item : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = item.path().filename().string();
-    const int gen = gen_of(name);
-    if (gen < 0) continue;
-    bool valid = false;
-    auto content = ReadFileToString(dir + "/" + name);
-    if (content.ok()) {
-      valid = StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
-                                         /*require_trailer=*/true,
-                                         dir + "/" + name)
-                  .ok();
-    }
-    entries.push_back({name, gen, valid});
+namespace {
+
+// Generation number of `name` when it is exactly `prefix` + eight digits
+// (the only names GenerationStore writes), else -1.
+int GenerationOfName(const std::string& name, const std::string& prefix) {
+  constexpr size_t kDigits = 8;
+  if (name.size() != prefix.size() + kDigits ||
+      name.compare(0, prefix.size(), prefix) != 0) {
+    return -1;
   }
+  int gen = 0;
+  for (size_t i = prefix.size(); i < name.size(); ++i) {
+    if (name[i] < '0' || name[i] > '9') return -1;
+    gen = gen * 10 + (name[i] - '0');
+  }
+  return gen;
+}
+
+std::string FileNameOf(const std::string& prefix, int gen) {
+  char digits[16];
+  std::snprintf(digits, sizeof(digits), "%08d", gen);
+  return prefix + digits;
+}
+
+// Generations under `dir`, newest first; `ec` reports a failed scan.
+std::vector<int> ScanGenerations(const std::string& dir,
+                                 const std::string& prefix,
+                                 std::error_code* ec) {
+  std::vector<int> gens;
+  for (const auto& item : std::filesystem::directory_iterator(dir, *ec)) {
+    const int gen = GenerationOfName(item.path().filename().string(), prefix);
+    if (gen >= 0) gens.push_back(gen);
+  }
+  std::sort(gens.begin(), gens.end(), std::greater<int>());
+  return gens;
+}
+
+}  // namespace
+
+GenerationStore::GenerationStore(std::string dir, std::string prefix,
+                                 std::string manifest_magic, std::string noun,
+                                 int keep)
+    : dir_(std::move(dir)),
+      prefix_(std::move(prefix)),
+      manifest_magic_(std::move(manifest_magic)),
+      noun_(std::move(noun)),
+      keep_(std::max(1, keep)) {}
+
+std::string GenerationStore::PathOf(int gen) const {
+  return dir_ + "/" + FileNameOf(prefix_, gen);
+}
+
+std::vector<int> GenerationStore::Generations() const {
+  std::error_code ec;
+  return ScanGenerations(dir_, prefix_, &ec);
+}
+
+int GenerationStore::Newest() const {
+  const std::vector<int> gens = Generations();
+  return gens.empty() ? 0 : gens.front();
+}
+
+Status GenerationStore::Write(int gen, std::string payload) {
+  if (gen < 0 || gen > kMaxGeneration) {
+    return Status::InvalidArgument(noun_ + " generation " +
+                                   std::to_string(gen) +
+                                   " does not fit an eight-digit file name");
+  }
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
   if (ec) {
-    return Status::IOError("cannot scan generation dir " + dir + ": " +
+    return Status::IOError("cannot create " + noun_ + " dir " + dir_ + ": " +
                            ec.message());
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.gen > b.gen; });
+  GALIGN_RETURN_NOT_OK(
+      AtomicWriteFile(PathOf(gen), AppendCrc32Trailer(std::move(payload))));
+  return ApplyRetention();
+}
 
-  RetentionReport report;
-  std::vector<std::string> survivors;
-  std::vector<std::string> victims;
-  int valid_kept = 0;
+Result<std::string> GenerationStore::Read(int gen) const {
+  const std::string path = PathOf(gen);
+  auto content = ReadFileToString(path);
+  if (!content.ok()) {
+    return Status::NotFound(noun_ + " generation " + std::to_string(gen) +
+                            " unreadable: " + content.status().message());
+  }
+  return StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
+                                    /*require_trailer=*/true, path);
+}
+
+Status GenerationStore::ApplyRetention() {
+  std::error_code ec;
+  const std::vector<int> gens = ScanGenerations(dir_, prefix_, &ec);
+  if (ec) {
+    return Status::IOError("cannot scan generation dir " + dir_ + ": " +
+                           ec.message());
+  }
+  std::vector<bool> valid(gens.size());
   bool any_valid = false;
-  for (const Entry& e : entries) any_valid |= e.valid;
-  for (const Entry& e : entries) {
-    if (!e.valid) {
-      // A torn file is never a survivor, but it is only deleted when a
-      // valid generation remains to serve from — an all-torn directory
-      // keeps its evidence so loaders still report data loss (IOError)
-      // instead of a clean NotFound.
-      if (any_valid) victims.push_back(e.name);
-      continue;
-    }
-    if (valid_kept < keep || e.gen == pinned_gen) {
-      survivors.push_back(e.name);
+  for (size_t i = 0; i < gens.size(); ++i) {
+    valid[i] = Read(gens[i]).ok();
+    any_valid |= valid[i];
+  }
+
+  const int pinned = pinned_.load();
+  std::string manifest = manifest_magic_ + "\n";
+  std::vector<int> pruned;
+  std::vector<int> torn;
+  int valid_kept = 0;
+  for (size_t i = 0; i < gens.size(); ++i) {
+    if (!valid[i]) {
+      // A torn file is never a survivor, and is deleted only when a valid
+      // generation remains to serve from.
+      if (any_valid) torn.push_back(gens[i]);
+    } else if (valid_kept < keep_ || gens[i] == pinned) {
+      manifest += FileNameOf(prefix_, gens[i]) + "\n";
       ++valid_kept;
     } else {
-      victims.push_back(e.name);
-      report.pruned.push_back(e.name);
+      pruned.push_back(gens[i]);
     }
   }
-  report.kept = valid_kept;
 
   // Manifest first: after this write no surviving reader path references a
   // victim, so deleting them cannot tear a concurrent load.
-  std::string manifest = manifest_magic + "\n";
-  for (const std::string& s : survivors) manifest += s + "\n";
   GALIGN_RETURN_NOT_OK(
-      AtomicWriteFile(dir + "/MANIFEST", AppendCrc32Trailer(manifest)));
+      AtomicWriteFile(dir_ + "/MANIFEST", AppendCrc32Trailer(manifest)));
 
-  for (const std::string& v : victims) {
-    std::filesystem::remove(dir + "/" + v, ec);
+  for (const int gen : pruned) std::filesystem::remove(PathOf(gen), ec);
+  for (const int gen : torn) {
+    std::filesystem::remove(PathOf(gen), ec);
+    GALIGN_LOG(Warning) << noun_ << " " << PathOf(gen)
+                        << " failed its CRC; garbage-collected";
   }
-  for (const Entry& e : entries) {
-    if (!e.valid && any_valid) report.torn_removed.push_back(e.name);
+  return Status::OK();
+}
+
+void GenerationStore::LogRejected(int gen, const Status& why) const {
+  GALIGN_LOG(Warning) << noun_ << " " << PathOf(gen) << " rejected ("
+                      << why.message() << "); trying previous";
+}
+
+Status GenerationStore::NoValidGeneration(
+    int tried, const std::string& newest_error) const {
+  if (tried == 0) {
+    return Status::NotFound("no " + noun_ + " generations under " + dir_);
   }
-  return report;
+  return Status::IOError("all " + std::to_string(tried) + " " + noun_ +
+                         " generations under " + dir_ +
+                         " failed validation (newest error: " + newest_error +
+                         ")");
 }
 
 }  // namespace galign

@@ -1,7 +1,7 @@
 // Durable file IO primitives (DESIGN.md §8).
 //
-// Four building blocks shared by model/alignment writers, the trainer
-// checkpointer, and the bench cell cache:
+// The building blocks shared by model/alignment writers, the generation
+// stores, and the bench cell cache:
 //
 //  * AtomicWriteFile — write-to-temp → fsync → rename, so a reader (or a
 //    process resuming after a crash) never observes a torn file: it sees
@@ -9,14 +9,18 @@
 //  * CRC32 trailers — AppendCrc32Trailer stamps a payload with a trailing
 //    `#crc32 <hex>` line; StripAndVerifyCrc32Trailer detects any bit rot or
 //    truncation that slipped past the rename barrier (e.g. media faults).
-//  * RetryTransient — seeded, jittered exponential backoff for transient
-//    IO failures, bounded in attempts so persistent faults still surface.
+//  * RetryTransientResult — seeded, jittered exponential backoff for
+//    transient IO failures, bounded in attempts so persistent faults still
+//    surface.
 //  * The hex codec — HexDouble runs (AppendHexDoubles / ParseHexDoubles),
 //    the bit-exact text form of every persisted double.
+//  * GenerationStore — a directory of numbered, CRC-trailed generations
+//    with keep-last-N retention and a newest-first fallback load: the one
+//    mechanism behind trainer checkpoints and serving artifacts.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -114,14 +118,6 @@ struct RetryPolicy {
   uint64_t seed = 0x9e3779b97f4a7c15ull;
 };
 
-/// \brief Runs `fn` (a callable returning Status) under `policy`.
-///
-/// Only kIOError results are retried — parse/corruption errors surface on
-/// the first attempt. Sleeps the jittered backoff between attempts and
-/// returns the last Status when attempts are exhausted.
-template <typename Fn>
-[[nodiscard]] Status RetryTransient(const RetryPolicy& policy, Fn&& fn);
-
 namespace internal {
 /// Jittered backoff duration in ms for `attempt` (1-based) under `policy`.
 double BackoffMillis(const RetryPolicy& policy, int attempt);
@@ -133,51 +129,11 @@ void BackoffSleep(const RetryPolicy& policy, int attempt,
                   double floor_ms = 0.0);
 }  // namespace internal
 
-/// \brief Outcome of one generation-directory retention pass.
-struct RetentionReport {
-  int kept = 0;                           ///< surviving generation files
-  std::vector<std::string> pruned;        ///< valid but beyond the keep window
-  std::vector<std::string> torn_removed;  ///< failed CRC, garbage-collected
-};
-
-/// \brief Keep-last-N retention with last-good pinning over a generation
-/// directory (checkpoints, serving artifacts).
+/// \brief Runs `fn` (a callable returning Result<T>) under `policy`.
 ///
-/// `gen_of` maps a filename to its generation number; a negative return
-/// means "not a generation file" and the entry is never touched. Survivors
-/// are the `keep` newest CRC-valid generations plus the generation
-/// `pinned_gen` when it is present and valid (last-good pinning: the
-/// generation a live reader depends on is never pruned out from under it,
-/// even once `keep` newer generations exist). The manifest
-/// (`<dir>/MANIFEST`, `manifest_magic` + survivors newest-first + CRC
-/// trailer) is rewritten before any file is deleted, so a crash mid-pass
-/// never leaves the manifest naming a removed file.
-///
-/// Torn files (missing/wrong CRC trailer) are garbage-collected only when
-/// at least one valid generation survives: when *everything* is torn they
-/// are left in place as evidence, preserving the loaders' "all generations
-/// failed validation" IOError over a silent NotFound.
-[[nodiscard]] Result<RetentionReport> ApplyGenerationRetention(
-    const std::string& dir, const std::string& manifest_magic,
-    const std::function<int(const std::string&)>& gen_of, int keep,
-    int pinned_gen = -1);
-
-template <typename Fn>
-[[nodiscard]] Status RetryTransient(const RetryPolicy& policy, Fn&& fn) {
-  Status last = Status::OK();
-  int attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    last = fn();
-    if (last.ok() || last.code() != StatusCode::kIOError) return last;
-    if (attempt < attempts) internal::BackoffSleep(policy, attempt);
-  }
-  return last;
-}
-
-/// \brief Result-returning sibling of RetryTransient.
-///
-/// `fn` returns Result<T>; only kIOError outcomes are retried, and the
-/// final attempt's result (success or not) is returned verbatim.
+/// Only kIOError outcomes are retried — parse/corruption errors surface on
+/// the first attempt. Sleeps the jittered backoff between attempts and
+/// returns the final attempt's result (success or not) verbatim.
 template <typename Fn>
 auto RetryTransientResult(const RetryPolicy& policy, Fn&& fn)
     -> decltype(fn()) {
@@ -191,5 +147,104 @@ auto RetryTransientResult(const RetryPolicy& policy, Fn&& fn)
     internal::BackoffSleep(policy, attempt);
   }
 }
+
+/// \brief A directory of numbered generations (DESIGN.md §8, §13): the one
+/// on-disk mechanism behind CheckpointManager and AlignmentIndexStore.
+///
+/// Generation `g` is the file `<dir>/<prefix><g as %08d>`, written with
+/// AtomicWriteFile and a CRC32 trailer. A name is a generation only when it
+/// is exactly that form — the prefix and eight digits — so `.tmp.<pid>`
+/// siblings and every other name are never loaded, counted or deleted.
+///
+/// Loaders scan the directory and take generation numbers as the order
+/// (newest = highest). Every retention pass still rewrites `<dir>/MANIFEST`
+/// (`manifest_magic`, then the survivors newest-first, then a CRC trailer)
+/// so an older reader of the directory sees what it always saw; nothing
+/// here reads it back.
+///
+/// Retention: survivors are the `keep` newest CRC-valid generations plus the
+/// pinned one when it is present and valid (last-good pinning: the
+/// generation a live reader depends on is never pruned out from under it).
+/// The MANIFEST is rewritten before any file is deleted. Torn files
+/// (missing/wrong CRC trailer) are garbage-collected only when a valid
+/// generation survives: when *everything* is torn they stay as evidence, so
+/// loaders still report data loss (IOError) instead of a silent NotFound.
+class GenerationStore {
+ public:
+  /// Largest generation number the eight-digit file name can hold.
+  static constexpr int kMaxGeneration = 99999999;
+
+  /// `noun` names the payload in errors and logs ("checkpoint",
+  /// "artifact"). `keep` is clamped to at least 1.
+  GenerationStore(std::string dir, std::string prefix,
+                  std::string manifest_magic, std::string noun, int keep);
+
+  const std::string& dir() const { return dir_; }
+
+  /// Path of generation `gen`'s file.
+  std::string PathOf(int gen) const;
+
+  /// Generations present on disk, newest first (one directory scan; a
+  /// missing or unreadable directory holds none).
+  std::vector<int> Generations() const;
+
+  /// Highest generation present on disk, or 0 when there is none.
+  int Newest() const;
+
+  /// Creates the directory, durably writes `payload` plus its CRC trailer
+  /// as generation `gen`, then runs ApplyRetention. InvalidArgument when
+  /// `gen` is outside [0, kMaxGeneration].
+  [[nodiscard]] Status Write(int gen, std::string payload);
+
+  /// Reads generation `gen` and strips its verified CRC trailer; the payload
+  /// is moved through, never copied. NotFound when the file is unreadable,
+  /// IOError when its trailer is missing or wrong.
+  [[nodiscard]] Result<std::string> Read(int gen) const;
+
+  /// Last-good pinning: `gen` survives retention regardless of age.
+  void Pin(int gen) { pinned_.store(gen); }
+  int pinned() const { return pinned_.load(); }
+
+  /// The retention pass: keep-last-N + pin + torn GC, MANIFEST first.
+  [[nodiscard]] Status ApplyRetention();
+
+  /// \brief The newest-first fallback load.
+  ///
+  /// Calls `load(gen)` (returning Result<T>) for each generation on disk,
+  /// newest first, logging each failure and moving on. The first success is
+  /// pinned, reported through `loaded_gen` when non-null, and returned.
+  /// Typed terminal failures: NotFound when no generation is on disk (a
+  /// normal cold start); IOError naming the generation count and the newest
+  /// failure when every present generation failed (durable state was lost).
+  template <typename Load>
+  auto LoadNewest(Load&& load, int* loaded_gen = nullptr) const
+      -> decltype(load(0)) {
+    int tried = 0;
+    std::string newest_error;
+    for (const int gen : Generations()) {
+      auto loaded = load(gen);
+      if (loaded.ok()) {
+        pinned_.store(gen);
+        if (loaded_gen != nullptr) *loaded_gen = gen;
+        return loaded;
+      }
+      if (tried++ == 0) newest_error = loaded.status().message();
+      LogRejected(gen, loaded.status());
+    }
+    return NoValidGeneration(tried, newest_error);
+  }
+
+ private:
+  void LogRejected(int gen, const Status& why) const;
+  Status NoValidGeneration(int tried, const std::string& newest_error) const;
+
+  std::string dir_;
+  std::string prefix_;
+  std::string manifest_magic_;
+  std::string noun_;
+  int keep_;
+  /// Generation handed to a caller as good; -1 until then.
+  mutable std::atomic<int> pinned_{-1};
+};
 
 }  // namespace galign

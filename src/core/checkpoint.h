@@ -8,18 +8,18 @@
 // IEEE-754 bit patterns (hex), so a resumed run reproduces the uninterrupted
 // run exactly — not merely to within printing precision.
 //
-// CheckpointManager persists checkpoints through common/durable_io: each
-// file is CRC32-stamped and atomically renamed into place, and a versioned
-// MANIFEST (newest first) is rewritten the same way. LoadLatest() walks the
-// manifest newest-to-oldest and transparently skips torn or corrupt files,
-// so a crash mid-save costs at most one checkpoint interval of work.
+// CheckpointManager persists checkpoints as the generations of a
+// common/durable_io GenerationStore: each file is CRC32-stamped and
+// atomically renamed into place. LoadLatest() walks the epochs on disk
+// newest-to-oldest and transparently skips torn or corrupt files, so a
+// crash mid-save costs at most one checkpoint interval of work.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/durable_io.h"
 #include "common/status.h"
 #include "la/matrix.h"
 
@@ -73,19 +73,20 @@ std::string SerializeCheckpoint(const TrainerCheckpoint& ckpt);
 
 /// \brief Writes/reads checkpoints under one directory.
 ///
-/// Filenames are ckpt_<epoch, zero-padded>. Save() is atomic per-file and
-/// applies the shared generation-retention policy (DESIGN.md §13): the
-/// `keep` newest CRC-valid checkpoints plus the pinned (last-resumed)
-/// epoch survive, torn files are garbage-collected once a valid survivor
-/// exists, and the MANIFEST lists survivors newest-first — so long
-/// training runs stop growing disk unboundedly. Save failures are surfaced
-/// as Status but are safe to treat as non-fatal: an existing older
-/// checkpoint is never damaged by a failed newer save.
+/// A typed front over GenerationStore (common/durable_io.h): the epoch is
+/// the generation, so filenames are ckpt_<epoch, zero-padded>. Save() is
+/// atomic per-file and applies the shared retention policy (DESIGN.md
+/// §13): the `keep` newest CRC-valid checkpoints plus the pinned
+/// (last-resumed) epoch survive and torn files are garbage-collected once
+/// a valid survivor exists — so long training runs stop growing disk
+/// unboundedly. Save failures are surfaced as Status but are safe to treat
+/// as non-fatal: an existing older checkpoint is never damaged by a failed
+/// newer save. Fault sites: "io.checkpoint.save", "io.checkpoint.load".
 class CheckpointManager {
  public:
   explicit CheckpointManager(std::string dir, int keep = 2);
 
-  /// Durably writes `ckpt` and updates the manifest.
+  /// Durably writes `ckpt` and applies retention.
   [[nodiscard]] Status Save(const TrainerCheckpoint& ckpt);
 
   /// Loads the newest valid checkpoint, falling back past torn/corrupt
@@ -99,21 +100,13 @@ class CheckpointManager {
 
   /// Last-resumed pinning: epoch `epoch` survives retention regardless of
   /// age. LoadLatest() sets this automatically.
-  void SetPinnedEpoch(int epoch) { pinned_.store(epoch); }
-  int pinned_epoch() const { return pinned_.load(); }
+  void SetPinnedEpoch(int epoch) { store_.Pin(epoch); }
+  int pinned_epoch() const { return store_.pinned(); }
 
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return store_.dir(); }
 
  private:
-  std::string ManifestPath() const;
-  /// Candidate filenames newest-first: manifest order when the manifest is
-  /// readable and intact, directory scan otherwise.
-  std::vector<std::string> Candidates() const;
-
-  std::string dir_;
-  int keep_;
-  /// Epoch of the last checkpoint handed to a caller; -1 until then.
-  mutable std::atomic<int> pinned_{-1};
+  GenerationStore store_;
 };
 
 }  // namespace galign

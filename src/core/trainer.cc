@@ -116,7 +116,7 @@ Status Trainer::Train(MultiOrderGcn* gcn, const AttributedGraph& source,
   int start_epoch = 0;
   if (config_.resume_from_checkpoint && !config_.checkpoint_dir.empty()) {
     CheckpointManager manager(config_.checkpoint_dir);
-    auto loaded = manager.LoadLatest();  // galign-lint: allow(context-dropped): CheckpointManager::LoadLatest is ctx-free by design (bounded startup restore); the flagged name is serve's ArtifactStore::LoadLatest(ctx)
+    auto loaded = manager.LoadLatest();  // galign-lint: allow(context-dropped): CheckpointManager::LoadLatest is ctx-free by design (bounded startup restore); the flagged name is serve's AlignmentIndexStore::LoadLatest(ctx)
     if (loaded.ok()) {
       TrainerCheckpoint& ckpt = loaded.ValueOrDie();
       if (!CheckpointMatchesModel(ckpt, params)) {

@@ -1,14 +1,11 @@
 #include "serve/alignment_index.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <sstream>
 #include <utility>
 
 #include "common/durable_io.h"
 #include "common/fault.h"
-#include "common/logging.h"
 #include "core/galign.h"
 #include "core/model_io.h"
 #include "core/trainer.h"
@@ -21,29 +18,6 @@ namespace {
 
 constexpr char kArtifactMagic[] = "galign-aidx-v1";
 constexpr char kManifestMagic[] = "galign-aidx-manifest-v1";
-constexpr char kManifestName[] = "MANIFEST";
-constexpr char kFilePrefix[] = "aidx_";
-
-std::string GenerationFileName(int gen) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%s%08d", kFilePrefix, gen);
-  return buf;
-}
-
-// Generation encoded in an artifact filename, or -1 when the name does not
-// match aidx_<digits>.
-int GenerationOfFileName(const std::string& name) {
-  const size_t prefix_len = sizeof(kFilePrefix) - 1;
-  if (name.compare(0, prefix_len, kFilePrefix) != 0) return -1;
-  if (name.size() <= prefix_len) return -1;
-  int gen = 0;
-  for (size_t i = prefix_len; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return -1;
-    gen = gen * 10 + (name[i] - '0');
-    if (gen > 99999999) return -1;
-  }
-  return gen;
-}
 
 // Reads `key <nbytes>\n` then exactly nbytes of raw payload (the embedded
 // model / ANN-recipe sections, whose bodies are not token streams).
@@ -299,86 +273,13 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Parse(
 }
 
 AlignmentIndexStore::AlignmentIndexStore(std::string dir, int keep)
-    : dir_(std::move(dir)), keep_(keep < 1 ? 1 : keep) {}
-
-std::string AlignmentIndexStore::ManifestPath() const {
-  return dir_ + "/" + kManifestName;
-}
-
-int AlignmentIndexStore::NewestGeneration() const {
-  int newest = 0;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    newest = std::max(newest,
-                      GenerationOfFileName(entry.path().filename().string()));
-  }
-  return newest;
-}
-
-std::string AlignmentIndexStore::GenerationPath(int gen) const {
-  return dir_ + "/" + GenerationFileName(gen);
-}
+    : store_(std::move(dir), "aidx_", kManifestMagic, "artifact", keep) {}
 
 Status AlignmentIndexStore::Save(const AlignmentIndex& index) {
   if (fault::ShouldFailIO("serve.artifact.save")) {
-    return Status::IOError("injected fault: artifact save to " + dir_);
+    return Status::IOError("injected fault: artifact save to " + dir());
   }
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) {
-    return Status::IOError("cannot create artifact dir " + dir_ + ": " +
-                           ec.message());
-  }
-
-  const std::string name = GenerationFileName(NewestGeneration() + 1);
-  GALIGN_RETURN_NOT_OK(AtomicWriteFile(
-      dir_ + "/" + name, AppendCrc32Trailer(index.Serialize())));
-  return ApplyRetention();
-}
-
-Status AlignmentIndexStore::ApplyRetention() {
-  auto report = ApplyGenerationRetention(dir_, kManifestMagic,
-                                         GenerationOfFileName, keep_,
-                                         pinned_.load());
-  GALIGN_RETURN_NOT_OK(report.status());
-  for (const std::string& torn : report.ValueOrDie().torn_removed) {
-    GALIGN_LOG(Warning) << "Artifact " << dir_ << "/" << torn
-                        << " failed its CRC; garbage-collected";
-  }
-  return Status::OK();
-}
-
-std::vector<std::string> AlignmentIndexStore::Candidates() const {
-  auto content = ReadFileToString(ManifestPath());
-  if (content.ok()) {
-    auto payload = StripAndVerifyCrc32Trailer(
-        content.MoveValueOrDie(), /*require_trailer=*/true, ManifestPath());
-    if (payload.ok()) {
-      std::istringstream in(payload.ValueOrDie());
-      std::string tok;
-      if (in >> tok && tok == kManifestMagic) {
-        std::vector<std::string> names;
-        while (in >> tok) {
-          if (GenerationOfFileName(tok) >= 1) names.push_back(tok);
-        }
-        if (!names.empty()) return names;
-      }
-    } else {
-      GALIGN_LOG(Warning) << "Artifact manifest unreadable ("
-                          << payload.status().message()
-                          << "); falling back to directory scan";
-    }
-  }
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string fname = entry.path().filename().string();
-    if (GenerationOfFileName(fname) >= 1) names.push_back(fname);
-  }
-  std::sort(names.begin(), names.end(), [](const auto& a, const auto& b) {
-    return GenerationOfFileName(a) > GenerationOfFileName(b);
-  });
-  return names;
+  return store_.Write(store_.Newest() + 1, index.Serialize());
 }
 
 Result<std::shared_ptr<const AlignmentIndex>>
@@ -387,72 +288,15 @@ AlignmentIndexStore::LoadGeneration(int gen, const RunContext& ctx) const {
   if (fault::ShouldFailIO("serve.artifact.load")) {
     return Status::IOError("injected fault: artifact load from " + path);
   }
-  auto content = ReadFileToString(path);
-  if (!content.ok()) {
-    return Status::NotFound("artifact generation " + std::to_string(gen) +
-                            " unreadable: " +
-                            std::string(content.status().message()));
-  }
-  auto payload = StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
-                                            /*require_trailer=*/true, path);
+  auto payload = store_.Read(gen);
   GALIGN_RETURN_NOT_OK(payload.status());
   return AlignmentIndex::Parse(payload.MoveValueOrDie(), path, ctx);
 }
 
 Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndexStore::LoadLatest(
     const RunContext& ctx, int* loaded_generation) const {
-  // Same typed terminal contract as CheckpointManager::LoadLatest: NotFound
-  // is a cold start, IOError means every published generation was lost.
-  int tried = 0;
-  std::string newest_error;
-  auto note = [&](const std::string& msg) {
-    if (tried == 1) newest_error = msg;
-  };
-  for (const std::string& name : Candidates()) {
-    const std::string path = dir_ + "/" + name;
-    ++tried;
-    if (fault::ShouldFailIO("serve.artifact.load")) {
-      GALIGN_LOG(Warning) << "Artifact " << path
-                          << " unreadable (injected fault); trying previous";
-      note("injected fault: artifact load from " + path);
-      continue;
-    }
-    auto content = ReadFileToString(path);
-    if (!content.ok()) {
-      GALIGN_LOG(Warning) << "Artifact " << path << " unreadable ("
-                          << content.status().message() << "); trying previous";
-      note(content.status().message());
-      continue;
-    }
-    auto payload = StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
-                                              /*require_trailer=*/true, path);
-    if (!payload.ok()) {
-      GALIGN_LOG(Warning) << "Artifact " << path << " failed validation ("
-                          << payload.status().message() << "); trying previous";
-      note(payload.status().message());
-      continue;
-    }
-    auto index = AlignmentIndex::Parse(payload.MoveValueOrDie(), path, ctx);
-    if (!index.ok()) {
-      GALIGN_LOG(Warning) << "Artifact " << path << " corrupt ("
-                          << index.status().message() << "); trying previous";
-      note(index.status().message());
-      continue;
-    }
-    // This generation is the one callers will serve from: pin it so
-    // retention never deletes the artifact a live deployment depends on.
-    const int gen = GenerationOfFileName(name);
-    pinned_.store(gen);
-    if (loaded_generation != nullptr) *loaded_generation = gen;
-    return index;
-  }
-  if (tried > 0) {
-    return Status::IOError("all " + std::to_string(tried) +
-                           " artifact generations under " + dir_ +
-                           " failed validation (newest error: " +
-                           newest_error + ")");
-  }
-  return Status::NotFound("no alignment artifact under " + dir_);
+  return store_.LoadNewest(
+      [&](int gen) { return LoadGeneration(gen, ctx); }, loaded_generation);
 }
 
 }  // namespace galign

@@ -10,21 +10,21 @@
 // it concurrently with no synchronization beyond the shared_ptr that keeps
 // it alive across artifact swaps.
 //
-// Durability follows the checkpoint contract (DESIGN.md §8): one artifact
-// generation per file (`aidx_<8-digit gen>`), AtomicWriteFile + CRC32
-// trailer, a CRC'd MANIFEST listing survivors newest-first, and
-// verify-or-reject loading that falls back past torn generations. The ANN
+// Durability is the checkpoints' generation store (common/durable_io.h,
+// DESIGN.md §8): one artifact generation per file (`aidx_<8-digit gen>`),
+// AtomicWriteFile + CRC32 trailer, and verify-or-reject loading that falls
+// back past torn generations. The ANN
 // section is stored as a recipe and rebuilt+fingerprint-verified at load
 // (graph/ann/ann_io.h), so a loaded artifact provably answers queries the
 // way the saved one did.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/durable_io.h"
 #include "common/run_context.h"
 #include "common/status.h"
 #include "core/config.h"
@@ -114,9 +114,10 @@ class AlignmentIndex {
 
 /// \brief Generation store for AlignmentIndex artifacts.
 ///
-/// Mirrors CheckpointManager: Save() atomically writes the next generation
-/// file plus a CRC'd MANIFEST and prunes to `keep` survivors; LoadLatest()
-/// walks generations newest-first, falling back past torn files, and
+/// A typed front over GenerationStore (common/durable_io.h), the same
+/// mechanism CheckpointManager uses: Save() atomically writes the next
+/// generation file and prunes to `keep` survivors; LoadLatest() walks the
+/// generations on disk newest-first, falling back past torn files, and
 /// distinguishes "nothing published yet" (NotFound) from "every published
 /// generation is torn" (IOError naming the generation count and newest
 /// failure). Fault sites: "serve.artifact.save", "serve.artifact.load".
@@ -150,33 +151,28 @@ class AlignmentIndexStore {
   [[nodiscard]] Result<std::shared_ptr<const AlignmentIndex>> LoadGeneration(
       int gen, const RunContext& ctx = RunContext()) const;
 
-  /// Highest generation number present on disk (manifest or scan), or 0.
-  /// The swap watcher polls this to detect new publications.
-  int NewestGeneration() const;
+  /// Generations on disk, newest first (one directory scan).
+  std::vector<int> Generations() const { return store_.Generations(); }
+
+  /// Highest generation number on disk, or 0. The swap watcher polls this
+  /// to detect new publications.
+  int NewestGeneration() const { return store_.Newest(); }
 
   /// Last-good pinning: `gen` survives retention regardless of age.
-  void SetPinnedGeneration(int gen) { pinned_.store(gen); }
-  int pinned_generation() const { return pinned_.load(); }
+  void SetPinnedGeneration(int gen) { store_.Pin(gen); }
+  int pinned_generation() const { return store_.pinned(); }
 
   /// Runs the retention pass now (keep-last-N + pin + torn GC). Save() does
   /// this automatically; the swap watcher calls it after each publish.
-  [[nodiscard]] Status ApplyRetention();
-
-  /// Candidate filenames newest-first (manifest order, else dir scan).
-  std::vector<std::string> Candidates() const;
+  [[nodiscard]] Status ApplyRetention() { return store_.ApplyRetention(); }
 
   /// Path of generation `gen`'s artifact file (chaos/test tooling).
-  std::string GenerationPath(int gen) const;
+  std::string GenerationPath(int gen) const { return store_.PathOf(gen); }
 
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return store_.dir(); }
 
  private:
-  std::string ManifestPath() const;
-
-  std::string dir_;
-  int keep_;
-  /// Last generation handed to a caller as good; -1 until the first load.
-  mutable std::atomic<int> pinned_{-1};
+  GenerationStore store_;
 };
 
 }  // namespace galign

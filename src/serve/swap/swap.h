@@ -6,7 +6,7 @@
 // **quarantine** stage, and only publishes it — one pointer swap via
 // AlignServer::SwapIndex — after the candidate passes validation:
 //
-//   detect   — a new `aidx_<gen>` appeared (MANIFEST or directory scan);
+//   detect   — a new `aidx_<gen>` appeared (a directory scan);
 //   load     — CRC + verify-or-reject Parse under the watcher's own memory
 //              admission, so a candidate can never OOM live serving;
 //   validate — ANN behavioral-fingerprint probe replay, an anchor-table
@@ -120,7 +120,7 @@ struct ValidationOutcome {
 ValidationOutcome ValidateCandidate(const AlignmentIndex& index,
                                     const SwapConfig& config);
 
-/// \brief MANIFEST watcher + quarantine state machine over one server.
+/// \brief Generation watcher + quarantine state machine over one server.
 ///
 /// Start() spawns the polling thread; PollOnce() drives one full
 /// detect → quarantine → validate → publish pass synchronously (tests and

@@ -121,20 +121,22 @@ TEST_F(DurableIoTest, RetryTransientRecoversFromTransientFault) {
   fast.base_backoff_ms = 0.01;
   fast.max_backoff_ms = 0.02;
   int calls = 0;
-  Status st = RetryTransient(fast, [&] {
-    return ++calls < 3 ? Status::IOError("flaky") : Status::OK();
+  auto r = RetryTransientResult(fast, [&]() -> Result<int> {
+    if (++calls < 3) return Status::IOError("flaky");
+    return calls;
   });
-  EXPECT_TRUE(st.ok());
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.ValueOrDie(), 3);
   EXPECT_EQ(calls, 3);
 }
 
 TEST_F(DurableIoTest, RetryTransientDoesNotRetryNonIOErrors) {
   int calls = 0;
-  Status st = RetryTransient(RetryPolicy{}, [&] {
+  auto r = RetryTransientResult(RetryPolicy{}, [&]() -> Result<int> {
     ++calls;
     return Status::InvalidArgument("deterministic");
   });
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(calls, 1);  // retrying a parse error cannot help
 }
 
@@ -144,11 +146,11 @@ TEST_F(DurableIoTest, RetryTransientGivesUpAfterMaxAttempts) {
   fast.base_backoff_ms = 0.01;
   fast.max_backoff_ms = 0.02;
   int calls = 0;
-  Status st = RetryTransient(fast, [&] {
+  auto r = RetryTransientResult(fast, [&]() -> Result<int> {
     ++calls;
     return Status::IOError("persistent");
   });
-  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
   EXPECT_EQ(calls, 4);
 }
 

@@ -470,7 +470,7 @@ FuzzFailure FuzzArtifact(const std::string& tmp_prefix, Rng* rng) {
     AlignmentIndexStore store(dir, /*keep=*/1);
     const std::string trailed =
         rng->Bernoulli(0.5) ? AppendCrc32Trailer(bytes) : bytes;
-    if (!AtomicWriteFile(dir + "/aidx_00000001", trailed).ok()) {
+    if (!AtomicWriteFile(store.GenerationPath(1), trailed).ok()) {
       return FuzzFailure{"artifact.store", "tmp write failed"};
     }
     if (!AtomicWriteFile(dir + "/MANIFEST",
@@ -490,7 +490,7 @@ FuzzFailure FuzzArtifact(const std::string& tmp_prefix, Rng* rng) {
                  "artifact.store",
                  "untyped failure: " + loaded.status().ToString());
     }
-    std::remove((dir + "/aidx_00000001").c_str());
+    std::remove(store.GenerationPath(1).c_str());
     std::remove((dir + "/MANIFEST").c_str());
   }
   return kOk;

@@ -2,15 +2,19 @@
 // validation battery, AlignServer generation plumbing, the ArtifactWatcher
 // detect → quarantine → validate → publish state machine, the poisoned-
 // generation (never-retry) semantics, the health surface, and the shared
-// keep-last-N + last-good-pin retention policy of AlignmentIndexStore and
-// CheckpointManager. The invariant: a live server only ever answers from a
+// keep-last-N + last-good-pin retention policy and directory-scan loading
+// of the generation store behind AlignmentIndexStore and CheckpointManager.
+// The invariant: a live server only ever answers from a
 // generation that passed validation, and a bad publication costs a typed
 // quarantine record, never availability.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 #include <unistd.h>
@@ -109,6 +113,58 @@ class SwapTest : public ::testing::Test {
     const size_t p = payload.find(' ', theta + 7) + 1;
     payload[p] = payload[p] == '7' ? '3' : '7';
     return payload;
+  }
+
+  /// One typed front of the generation store, driven like the other:
+  /// `save(g)` publishes generation g through the front's Save, `payload(g)`
+  /// is a valid payload for g, and `load_latest()` reports the generation
+  /// the front's LoadLatest returned.
+  struct Front {
+    std::string name;
+    std::string dir;
+    std::string prefix;
+    std::function<Status(int)> save;
+    std::function<std::string(int)> payload;
+    std::function<Result<int>()> load_latest;
+
+    std::string Path(int gen) const {
+      char digits[16];
+      std::snprintf(digits, sizeof(digits), "%08d", gen);
+      return dir + "/" + prefix + digits;
+    }
+  };
+
+  static TrainerCheckpoint SmallCheckpoint(int epoch) {
+    TrainerCheckpoint ckpt;
+    ckpt.epoch = epoch;
+    ckpt.weights.push_back(Matrix(2, 2, 1.0));
+    return ckpt;
+  }
+
+  /// The checkpoint and artifact fronts over fresh directories.
+  std::vector<Front> BothFronts(const std::string& tag) {
+    auto mgr = std::make_shared<CheckpointManager>(Dir(tag + "_ckpt"));
+    auto store = std::make_shared<AlignmentIndexStore>(Dir(tag + "_aidx"));
+    const std::shared_ptr<const AlignmentIndex> index = Index();
+    return {
+        {"checkpoint", mgr->dir(), "ckpt_",
+         [mgr](int gen) { return mgr->Save(SmallCheckpoint(gen)); },
+         [](int gen) { return SerializeCheckpoint(SmallCheckpoint(gen)); },
+         [mgr]() -> Result<int> {
+           auto loaded = mgr->LoadLatest();
+           if (!loaded.ok()) return loaded.status();
+           return loaded.ValueOrDie().epoch;
+         }},
+        {"artifact", store->dir(), "aidx_",
+         [store, index](int) { return store->Save(*index); },
+         [index](int) { return index->Serialize(); },
+         [store]() -> Result<int> {
+           int gen = 0;
+           auto loaded = store->LoadLatest(RunContext(), &gen);
+           if (!loaded.ok()) return loaded.status();
+           return gen;
+         }},
+    };
   }
 
   std::filesystem::path dir_;
@@ -480,6 +536,75 @@ TEST_F(SwapTest, CheckpointManagerSharesRetentionPolicy) {
   ASSERT_TRUE(latest.ok()) << latest.status().ToString();
   EXPECT_EQ(latest.ValueOrDie().epoch, 6);
   EXPECT_EQ(mgr.pinned_epoch(), 6);  // LoadLatest re-pins what it returned
+}
+
+// --- Loaders scan the directory, never the MANIFEST --------------------
+
+TEST_F(SwapTest, LoadLatestTakesNewestValidGenerationWhateverTheManifest) {
+  enum class Manifest { kMissing, kCorrupt, kStale };
+  for (const Manifest manifest :
+       {Manifest::kMissing, Manifest::kCorrupt, Manifest::kStale}) {
+    const std::string tag = "manifest" + std::to_string(int(manifest));
+    for (const Front& front : BothFronts(tag)) {
+      SCOPED_TRACE(front.name + " " + tag);
+      ASSERT_TRUE(front.save(1).ok());
+      ASSERT_TRUE(front.save(2).ok());
+      // Generation 3 as a crash between the generation write and the
+      // retention pass leaves it: valid on disk, absent from the MANIFEST.
+      ASSERT_TRUE(AtomicWriteFile(front.Path(3),
+                                  AppendCrc32Trailer(front.payload(3)))
+                      .ok());
+      // A writer's temp file is never a generation, whatever its number.
+      const std::string tmp = front.Path(9) + ".tmp.4242";
+      std::ofstream(tmp, std::ios::binary) << "half-written";
+      const std::string manifest_path = front.dir + "/MANIFEST";
+      switch (manifest) {
+        case Manifest::kMissing:
+          ASSERT_TRUE(std::filesystem::remove(manifest_path));
+          break;
+        case Manifest::kCorrupt:
+          std::ofstream(manifest_path, std::ios::trunc | std::ios::binary)
+              << "bit rot";
+          break;
+        case Manifest::kStale:  // still lists generations 2 and 1 only
+          break;
+      }
+      auto loaded = front.load_latest();
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(loaded.ValueOrDie(), 3);
+
+      // The next Save's retention pass keeps the pinned generation 3 and
+      // leaves the temp file alone: it neither counts nor is collected.
+      ASSERT_TRUE(front.save(4).ok());
+      EXPECT_TRUE(std::filesystem::exists(front.Path(3)));
+      EXPECT_TRUE(std::filesystem::exists(tmp));
+    }
+  }
+}
+
+TEST_F(SwapTest, CheckpointNameBeyondEightDigitsIsNotAGeneration) {
+  std::filesystem::create_directories(Dir("ckpt"));
+  // 4294967297 is 2^32 + 1: narrowed to 32 bits it would read as epoch 1.
+  const std::string alien = Dir("ckpt") + "/ckpt_4294967297";
+  std::ofstream(alien, std::ios::binary) << "not a checkpoint";
+  CheckpointManager mgr(Dir("ckpt"));
+  auto none = mgr.LoadLatest();
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), StatusCode::kNotFound)
+      << none.status().ToString();
+
+  for (int epoch = 1; epoch <= 3; ++epoch) {
+    ASSERT_TRUE(mgr.Save(SmallCheckpoint(epoch)).ok());
+  }
+  auto latest = mgr.LoadLatest();
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest.ValueOrDie().epoch, 3);
+  EXPECT_TRUE(std::filesystem::exists(alien));  // retention never touched it
+
+  // Nor is such a name ever written.
+  EXPECT_EQ(mgr.Save(SmallCheckpoint(GenerationStore::kMaxGeneration + 1))
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
