@@ -1,9 +1,9 @@
 // Google-benchmark suite for the ANN retrieval layer (DESIGN.md §11):
 //
-//   * index construction cost for both backends (BM_*Build);
-//   * recall-vs-QPS sweeps over the search-effort knobs — LSH probed
-//     buckets, HNSW beam width — each entry carrying a `recall` counter
-//     measured against the exact chunked top-k oracle (BM_*RecallQps);
+//   * LSH index construction cost (BM_LshBuild);
+//   * a recall-vs-QPS sweep over the search-effort knob — probed buckets
+//     per table — each entry carrying a `recall` counter measured against
+//     the exact chunked top-k oracle (BM_LshRecallQps);
 //   * the headline end-to-end number: ANN-routed AlignTopK against the
 //     exact chunked scan on a fuzzer-scale 20k x 20k attributed pair,
 //     recording `speedup_vs_exact` and achieved `recall` in one entry
@@ -85,7 +85,6 @@ void BM_LshBuild(benchmark::State& state) {
   const int64_t n = state.range(0);
   const Matrix base = ClusteredRows(n, kDim, kClusters, 0.06, 7, 8);
   AnnConfig cfg;
-  cfg.backend = AnnBackend::kLsh;
   for (auto _ : state) {
     Matrix copy = base;  // BuildAnnIndex takes ownership
     auto index = BuildAnnIndex(std::move(copy), cfg, RunContext());
@@ -95,49 +94,21 @@ void BM_LshBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_LshBuild)->Arg(4000)->Arg(20000);
 
-void BM_HnswBuild(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  const Matrix base = ClusteredRows(n, kDim, kClusters, 0.06, 7, 8);
-  AnnConfig cfg;
-  cfg.backend = AnnBackend::kHnsw;
-  for (auto _ : state) {
-    Matrix copy = base;
-    auto index = BuildAnnIndex(std::move(copy), cfg, RunContext());
-    benchmark::DoNotOptimize(index.ValueOrDie());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_HnswBuild)->Arg(4000)->Arg(10000);
-
 // ------------------------------------------- recall-vs-QPS sweeps
 
-// Fixed query/base pair plus the exact oracle, built once per shape and
+// Fixed 20k-base / 2k-query pair plus the exact oracle, built once and
 // reused across all sweep entries (the oracle scan is the expensive part).
 struct SweepFixture {
-  Matrix base;
-  Matrix queries;
-  TopKAlignment exact;
+  Matrix base = ClusteredRows(20000, kDim, kClusters, 0.06, 21, 22);
+  Matrix queries = ClusteredRows(2000, kDim, kClusters, 0.06, 21, 23);
+  TopKAlignment exact = ChunkedEmbeddingTopK({queries}, {base}, {1.0}, kTopK,
+                                             RunContext())
+                            .MoveValueOrDie();
 };
 
-const SweepFixture& Sweep(int64_t n_base, int64_t n_query) {
-  static std::vector<std::pair<int64_t, std::unique_ptr<SweepFixture>>> cache;
-  for (const auto& e : cache) {
-    if (e.first == n_base * 100000 + n_query) return *e.second;
-  }
-  auto f = std::make_unique<SweepFixture>();
-  f->base = ClusteredRows(n_base, kDim, kClusters, 0.06, 21, 22);
-  f->queries = ClusteredRows(n_query, kDim, kClusters, 0.06, 21, 23);
-  f->exact = ChunkedEmbeddingTopK({f->queries}, {f->base}, {1.0}, kTopK,
-                                  RunContext())
-                 .MoveValueOrDie();
-  cache.emplace_back(n_base * 100000 + n_query, std::move(f));
-  return *cache.back().second;
-}
-
 void BM_LshRecallQps(benchmark::State& state) {
-  const SweepFixture& f = Sweep(20000, 2000);
+  static const SweepFixture f;
   AnnConfig cfg;
-  cfg.backend = AnnBackend::kLsh;
   cfg.lsh_probes = state.range(0);
   Matrix copy = f.base;
   auto index = BuildAnnIndex(std::move(copy), cfg, RunContext());
@@ -150,23 +121,6 @@ void BM_LshRecallQps(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.queries.rows());
 }
 BENCHMARK(BM_LshRecallQps)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_HnswRecallQps(benchmark::State& state) {
-  const SweepFixture& f = Sweep(10000, 2000);
-  AnnConfig cfg;
-  cfg.backend = AnnBackend::kHnsw;
-  cfg.hnsw_ef_search = state.range(0);
-  Matrix copy = f.base;
-  auto index = BuildAnnIndex(std::move(copy), cfg, RunContext());
-  const AnnIndex& idx = *index.ValueOrDie();
-  auto first = idx.QueryBatch(f.queries, kTopK);
-  state.counters["recall"] = MeasuredRecall(f.exact, first.ValueOrDie());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.QueryBatch(f.queries, kTopK).ValueOrDie());
-  }
-  state.SetItemsProcessed(state.iterations() * f.queries.rows());
-}
-BENCHMARK(BM_HnswRecallQps)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
 // ------------------------------------------------ end-to-end headline
 

@@ -15,7 +15,6 @@
 //              [--mem-budget=512m]            # cap matrix memory (k/m/g)
 //              [--topk=10]                    # k for the top-k path
 //              [--ann=auto|on|off]            # sublinear candidate retrieval
-//              [--ann-backend=lsh|hnsw]
 //              [--ann-recall-target=0.98]
 //
 // With no --*-out flags, the top anchors are printed to stdout.
@@ -170,16 +169,6 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (ParseFlag(argv[i], "--ann-backend", &flag)) {
-      if (flag == "lsh") opt.ann.config.backend = AnnBackend::kLsh;
-      else if (flag == "hnsw") opt.ann.config.backend = AnnBackend::kHnsw;
-      else {
-        std::fprintf(stderr, "bad --ann-backend value (lsh|hnsw): %s\n",
-                     flag.c_str());
-        return 2;
-      }
-      continue;
-    }
     if (ParseFlag(argv[i], "--ann-recall-target", &flag)) {
       auto target = GALIGN_VALIDATE_UNIT_INTERVAL(flag, "--ann-recall-target");
       if (!target.ok()) {
@@ -199,7 +188,7 @@ int main(int argc, char** argv) {
                  "[--source-attrs=<tsv>] [--target-attrs=<tsv>] "
                  "[--seeds=<pairs>] [--anchors-out=<file>] "
                  "[--matrix-out=<file>] [--hungarian] [--mem-budget=512m] "
-                 "[--topk=10] [--ann=auto|on|off] [--ann-backend=lsh|hnsw] "
+                 "[--topk=10] [--ann=auto|on|off] "
                  "[--ann-recall-target=0.98]\n");
     return 2;
   }

@@ -122,7 +122,7 @@ run_asan_stage() {
 
   # ANN recall smoke gate (DESIGN.md §11): fixed-seed generator graphs run
   # end to end through ANN-routed aligners, measured against the exact
-  # chunked oracle — both backends must hold the recall target, and the
+  # chunked oracle — the LSH index must hold the recall target, and the
   # degenerate/conformance sweep covers empty/single-node/k>=n inputs.
   echo "=== ANN recall smoke gate (ASan+UBSan) ==="
   ctest --test-dir "${build_dir}" --output-on-failure -R "AnnRecall"

@@ -71,7 +71,8 @@ Var SpMM(Tape* t, const SparseMatrix* sparse, Var x) {
 }
 
 Var Tanh(Tape* t, Var x) {
-  Matrix y = galign::Tanh(t->value(x));
+  Matrix y;
+  TanhInto(t->value(x), &y);
   bool rg = t->requires_grad(x);
   return t->Emit(
       std::move(y), {x},
@@ -170,7 +171,8 @@ Var NormalizeRows(Tape* t, Var x, double eps) {
 }
 
 Var Add(Tape* t, Var a, Var b) {
-  Matrix y = galign::Add(t->value(a), t->value(b));
+  Matrix y = t->value(a);
+  y.Add(t->value(b));
   bool rg = AnyRequiresGrad(*t, {a, b});
   return t->Emit(
       std::move(y), {a, b},
@@ -182,7 +184,8 @@ Var Add(Tape* t, Var a, Var b) {
 }
 
 Var Sub(Tape* t, Var a, Var b) {
-  Matrix y = galign::Sub(t->value(a), t->value(b));
+  Matrix y = t->value(a);
+  y.Axpy(-1.0, t->value(b));
   bool rg = AnyRequiresGrad(*t, {a, b});
   return t->Emit(
       std::move(y), {a, b},
@@ -194,7 +197,8 @@ Var Sub(Tape* t, Var a, Var b) {
 }
 
 Var Scale(Tape* t, Var a, double alpha) {
-  Matrix y = galign::Scale(t->value(a), alpha);
+  Matrix y = t->value(a);
+  y.Scale(alpha);
   bool rg = t->requires_grad(a);
   return t->Emit(
       std::move(y), {a},

@@ -7,8 +7,8 @@
 // ...] against the unscaled base b_u = [H_t^(0)[u] | ...]. That reduction
 // is what lets one AnnIndex serve arbitrary layer weightings — and since
 // each layer's rows are unit-normalized, concatenated norms are constant
-// per side, so inner-product order equals cosine order and both backends'
-// assumptions hold.
+// per side, so inner-product order equals cosine order and the cosine-LSH
+// index's assumption holds.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +27,8 @@ namespace galign {
 /// O(n1 * n2) chunked scan wins — index construction cannot amortize).
 bool ShouldUseAnn(const AnnPolicy& policy, int64_t n1, int64_t n2);
 
-/// The policy's backend config with search effort scaled to the recall
-/// target (more probed buckets / a wider beam for tighter targets). The
+/// The policy's index config with search effort scaled to the recall
+/// target (more probed buckets for tighter targets). The
 /// recall property test measures what a scaled config actually achieves.
 AnnConfig EffortScaledConfig(const AnnPolicy& policy);
 

@@ -4,18 +4,17 @@
 //
 // An AnnIndex is built once over the n2 "base" rows (target-side
 // embeddings) and then answers batched inner-product top-k queries in
-// sublinear time per query: O(probed candidates) for the multi-table
-// cosine-LSH backend, O(ef * degree * log n) for the HNSW-style navigable
-// graph. Both backends:
+// sublinear time per query: O(probed candidates) for the one backend, a
+// multi-table cosine LSH with multiprobe. The index:
 //
-//   * are deterministic given the config seed — construction draws from a
+//   * is deterministic given the config seed — construction draws from a
 //     seeded Rng, queries are pure functions of the index — so ANN-vs-exact
 //     recall comparisons are reproducible across runs and thread counts;
-//   * reserve their footprint against ctx.budget() (EstimateAnnIndexBytes
-//     + MemoryScope, the PR-4 admission contract) and allocate through
+//   * reserves its footprint against ctx.budget() (EstimateAnnIndexBytes
+//     + MemoryScope, the PR-4 admission contract) and allocates through
 //     Matrix::TryCreate, degrading to ResourceExhausted instead of
 //     bad_alloc;
-//   * honor RunContext deadlines/cancellation: an expired build returns a
+//   * honors RunContext deadlines/cancellation: an expired build returns a
 //     truncated-but-valid index over the rows inserted so far, an expired
 //     query batch returns the leading rows computed so far
 //     (rows_computed < rows), mirroring the ChunkedTopK wind-down contract.
@@ -28,7 +27,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "common/run_context.h"
 #include "common/status.h"
@@ -37,12 +35,6 @@
 
 namespace galign {
 
-/// Which retrieval structure backs the index.
-enum class AnnBackend {
-  kLsh,   ///< signed-random-projection cosine LSH, multi-table + multiprobe
-  kHnsw,  ///< HNSW-style navigable small-world graph on a CSR layout
-};
-
 /// Whether AlignTopK routes through the ANN layer.
 enum class AnnMode {
   kAuto,  ///< ANN above the size threshold, exact below (the default)
@@ -50,30 +42,23 @@ enum class AnnMode {
   kOff,   ///< always exact
 };
 
-/// \brief Tuning knobs shared by both backends.
+/// Independent LSH hash tables (unioned candidates). Fixed: every
+/// workload, artifact and recipe uses 8.
+inline constexpr int64_t kLshTables = 8;
+/// Cap on the signature width: bounds the direct-addressed bucket-offset
+/// arrays at kLshTables * 2^20 * 4 bytes.
+inline constexpr int64_t kLshMaxBits = 20;
+
+/// \brief Tuning knobs of the LSH index.
 ///
 /// The defaults favor recall over speed (the recall property test holds
-/// both backends to >= the configured target on generated workloads);
-/// benches sweep them for recall-vs-QPS curves.
+/// the index to >= the configured target on generated workloads); benches
+/// sweep the probe count for recall-vs-QPS curves.
 struct AnnConfig {
-  AnnBackend backend = AnnBackend::kLsh;
-  uint64_t seed = 42;  ///< hyperplane / level-assignment stream
-
-  // --- LSH ---------------------------------------------------------------
-  int64_t lsh_tables = 8;  ///< independent hash tables (unioned candidates)
-  /// Hyperplanes (= signature bits) per table; 0 = auto-scale to
-  /// ~ceil(log2(n)) so buckets stay thin (about one point each) at any
-  /// index size — multiprobe supplies the neighborhood, not fat buckets.
-  /// Clamped to 20 (bounds the direct-addressed offset arrays).
-  int64_t lsh_bits = 0;
+  uint64_t seed = 42;  ///< hyperplane stream
   /// Multiprobe: buckets visited per table (the exact bucket plus probes-1
   /// single-bit flips in order of ascending projection confidence).
   int64_t lsh_probes = 16;
-
-  // --- HNSW --------------------------------------------------------------
-  int64_t hnsw_degree = 12;           ///< M: neighbors kept per node/level
-  int64_t hnsw_ef_construction = 96;  ///< beam width while inserting
-  int64_t hnsw_ef_search = 96;        ///< beam width while querying
 };
 
 /// \brief Routing policy consulted by AlignTopK implementations
@@ -81,8 +66,8 @@ struct AnnConfig {
 struct AnnPolicy {
   AnnMode mode = AnnMode::kAuto;
   /// Requested recall of ANN top-k vs. the exact top-k. Maps to search
-  /// effort (beam widths / probe counts scale up with the target); the
-  /// recall property test measures the achieved value.
+  /// effort (probe counts scale up with the target); the recall property
+  /// test measures the achieved value.
   double recall_target = 0.98;
   /// kAuto threshold: both sides must have at least this many rows before
   /// index construction can amortize against the O(n1 * n2 * d) scan.
@@ -101,8 +86,6 @@ class AnnIndex {
  public:
   virtual ~AnnIndex() = default;
 
-  /// Backend name ("lsh", "hnsw").
-  virtual std::string name() const = 0;
   /// Rows actually indexed (== base rows unless the build wound down).
   virtual int64_t size() const = 0;
   /// Embedding dimensionality.
@@ -125,32 +108,32 @@ class AnnIndex {
   /// Rows beyond rows_computed (deadline wind-down) hold -1. `k` is
   /// clamped to size(). Thread-safe.
   ///
-  /// `effort` in (0, 1] scales query-time search breadth (LSH probe count,
-  /// HNSW beam width) without touching the immutable structure: values
-  /// below 1 trade recall for latency. This is the serving layer's
-  /// degradation knob (DESIGN.md §12) — a loaded server steps effort down
-  /// instead of queueing unboundedly. Clamped to at least one probe /
-  /// a beam of k; effort 1 is exactly the configured search.
+  /// `effort` in (0, 1] scales query-time search breadth (the probe
+  /// count) without touching the immutable structure: values below 1 trade
+  /// recall for latency. This is the serving layer's degradation knob
+  /// (DESIGN.md §12) — a loaded server steps effort down instead of
+  /// queueing unboundedly. Clamped to at least one probe; effort 1 is
+  /// exactly the configured search.
   [[nodiscard]] virtual Result<TopKAlignment> QueryBatch(
       const Matrix& queries, int64_t k, const RunContext& ctx = RunContext(),
       double effort = 1.0) const = 0;
 };
 
-/// \brief Builds the configured backend over `base` (rows = points to
-/// index). Takes ownership of `base`; the index keeps it for exact
-/// re-ranking. Reserves EstimateAnnIndexBytes against ctx.budget() for the
-/// life of the index.
+/// \brief Builds the LSH index over `base` (rows = points to index).
+/// Takes ownership of `base`; the index keeps it for exact re-ranking.
+/// Reserves EstimateAnnIndexBytes against ctx.budget() for the life of the
+/// index.
 [[nodiscard]] Result<std::unique_ptr<AnnIndex>> BuildAnnIndex(
     Matrix base, const AnnConfig& config,
     const RunContext& ctx = RunContext());
 
 /// Order-of-magnitude peak bytes BuildAnnIndex needs for n rows of
-/// dimension d under `config` (the pre-flight admission estimate).
-uint64_t EstimateAnnIndexBytes(int64_t n, int64_t dim,
-                               const AnnConfig& config);
+/// dimension d (the pre-flight admission estimate).
+uint64_t EstimateAnnIndexBytes(int64_t n, int64_t dim);
 
-/// Effective signature width for an LSH index over n points (resolves the
-/// lsh_bits == 0 auto rule).
-int64_t EffectiveLshBits(const AnnConfig& config, int64_t n);
+/// Signature width for an LSH index over n points: ~ceil(log2(n)) so
+/// buckets stay thin (about one point each) at any index size — multiprobe
+/// supplies the neighborhood, not fat buckets — clamped to [4, kLshMaxBits].
+int64_t EffectiveLshBits(int64_t n);
 
 }  // namespace galign

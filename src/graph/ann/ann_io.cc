@@ -17,16 +17,18 @@ namespace {
 
 constexpr char kRecipeMagic[] = "galign-ann-recipe-v1";
 
-const char* BackendName(AnnBackend b) {
-  return b == AnnBackend::kLsh ? "lsh" : "hnsw";
-}
-
-Result<AnnBackend> ParseBackend(const std::string& name,
-                                const std::string& context) {
-  if (name == "lsh") return AnnBackend::kLsh;
-  if (name == "hnsw") return AnnBackend::kHnsw;
-  return Status::IOError("unknown ANN backend '" + name + "' in " + context);
-}
+// The v1 layout dates from when a second (HNSW) backend existed: it names
+// the backend, carries the table count and an explicit signature-width
+// override, and three HNSW knobs. The writer emits them as these fixed
+// values so artifact bytes stay identical to earlier builds, and earlier
+// builds (which parse every line) still load new artifacts. The reader
+// rejects any other backend / tables / bits value and discards the HNSW
+// knobs, whatever their values.
+constexpr char kRecipeBackend[] = "lsh";
+constexpr int64_t kRecipeLshBits = 0;  // 0 = the auto width rule
+constexpr int64_t kLegacyHnswDegree = 12;
+constexpr int64_t kLegacyHnswEfConstruction = 96;
+constexpr int64_t kLegacyHnswEfSearch = 96;
 
 }  // namespace
 
@@ -58,14 +60,14 @@ std::string SerializeAnnRecipe(const AnnIndex& index,
                                const AnnConfig& config) {
   std::ostringstream out;
   out << kRecipeMagic << "\n";
-  out << "backend " << BackendName(config.backend) << "\n";
+  out << "backend " << kRecipeBackend << "\n";
   out << "seed " << config.seed << "\n";
-  out << "lsh_tables " << config.lsh_tables << "\n";
-  out << "lsh_bits " << config.lsh_bits << "\n";
+  out << "lsh_tables " << kLshTables << "\n";
+  out << "lsh_bits " << kRecipeLshBits << "\n";
   out << "lsh_probes " << config.lsh_probes << "\n";
-  out << "hnsw_degree " << config.hnsw_degree << "\n";
-  out << "hnsw_ef_construction " << config.hnsw_ef_construction << "\n";
-  out << "hnsw_ef_search " << config.hnsw_ef_search << "\n";
+  out << "hnsw_degree " << kLegacyHnswDegree << "\n";
+  out << "hnsw_ef_construction " << kLegacyHnswEfConstruction << "\n";
+  out << "hnsw_ef_search " << kLegacyHnswEfSearch << "\n";
   out << "rows " << index.base().rows() << "\n";
   out << "dim " << index.dim() << "\n";
   char fp[16];
@@ -78,7 +80,8 @@ std::string SerializeAnnRecipe(const AnnIndex& index,
 Result<std::unique_ptr<AnnIndex>> RebuildAnnIndex(const std::string& payload,
                                                   Matrix base,
                                                   const RunContext& ctx,
-                                                  const std::string& context) {
+                                                  const std::string& context,
+                                                  AnnConfig* config_out) {
   std::istringstream in(payload);
   std::string tok;
   if (!(in >> tok) || tok != kRecipeMagic) {
@@ -94,19 +97,34 @@ Result<std::unique_ptr<AnnIndex>> RebuildAnnIndex(const std::string& payload,
     }
     return Status::OK();
   };
+  // Every fixed field is checked as soon as it is read, before anything
+  // is allocated from it.
+  auto read_fixed = [&](const char* key, int64_t want) -> Status {
+    int64_t value = 0;
+    GALIGN_RETURN_NOT_OK(read_kv(key, &value));
+    if (value != want) {
+      return Status::IOError("ANN recipe field " + std::string(key) + " = " +
+                             std::to_string(value) + " in " + context +
+                             " (must be " + std::to_string(want) + ")");
+    }
+    return Status::OK();
+  };
   std::string backend_name;
   GALIGN_RETURN_NOT_OK(read_kv("backend", &backend_name));
-  auto backend = ParseBackend(backend_name, context);
-  GALIGN_RETURN_NOT_OK(backend.status());
-  config.backend = backend.ValueOrDie();
+  if (backend_name != kRecipeBackend) {
+    return Status::IOError("ANN recipe field backend = '" + backend_name +
+                           "' in " + context +
+                           " (only 'lsh' is built; the HNSW backend was "
+                           "retired)");
+  }
   GALIGN_RETURN_NOT_OK(read_kv("seed", &config.seed));
-  GALIGN_RETURN_NOT_OK(read_kv("lsh_tables", &config.lsh_tables));
-  GALIGN_RETURN_NOT_OK(read_kv("lsh_bits", &config.lsh_bits));
+  GALIGN_RETURN_NOT_OK(read_fixed("lsh_tables", kLshTables));
+  GALIGN_RETURN_NOT_OK(read_fixed("lsh_bits", kRecipeLshBits));
   GALIGN_RETURN_NOT_OK(read_kv("lsh_probes", &config.lsh_probes));
-  GALIGN_RETURN_NOT_OK(read_kv("hnsw_degree", &config.hnsw_degree));
-  GALIGN_RETURN_NOT_OK(
-      read_kv("hnsw_ef_construction", &config.hnsw_ef_construction));
-  GALIGN_RETURN_NOT_OK(read_kv("hnsw_ef_search", &config.hnsw_ef_search));
+  int64_t legacy_hnsw = 0;  // read to keep the layout, then discarded
+  GALIGN_RETURN_NOT_OK(read_kv("hnsw_degree", &legacy_hnsw));
+  GALIGN_RETURN_NOT_OK(read_kv("hnsw_ef_construction", &legacy_hnsw));
+  GALIGN_RETURN_NOT_OK(read_kv("hnsw_ef_search", &legacy_hnsw));
   GALIGN_RETURN_NOT_OK(read_kv("rows", &rows));
   GALIGN_RETURN_NOT_OK(read_kv("dim", &dim));
   GALIGN_RETURN_NOT_OK(read_kv("fingerprint", &fingerprint_hex));
@@ -138,6 +156,7 @@ Result<std::unique_ptr<AnnIndex>> RebuildAnnIndex(const std::string& payload,
                   want, got);
     return Status::IOError(std::string(buf) + context);
   }
+  if (config_out != nullptr) *config_out = config;
   return index;
 }
 

@@ -1,13 +1,15 @@
 // Serialize / deserialize an AnnIndex (DESIGN.md §12).
 //
-// Both backends are deterministic pure functions of (base rows, config,
-// seed) — the DESIGN.md §11 reproducibility contract — so the durable form
-// of an index is its *recipe*: the full AnnConfig, the expected shape, and
-// a behavioral fingerprint (a CRC32 over the results of a fixed probe
-// query batch). Deserialization re-runs the seeded build over the caller's
-// base rows and then verifies the fingerprint, rejecting with a typed
-// IOError when the rebuilt index answers differently than the one that was
-// saved (wrong base rows, config drift, or a backend whose build stopped
+// The LSH index is a deterministic pure function of (base rows, config) —
+// the DESIGN.md §11 reproducibility contract — so the durable form of an
+// index is its *recipe*: the AnnConfig (seed, probe count), the expected
+// shape, and a behavioral fingerprint (a CRC32 over the results of a fixed
+// probe query batch). The recipe layout (galign-ann-recipe-v1) also keeps
+// fixed backend, table, bit-width and legacy HNSW lines so its bytes match
+// earlier builds. Deserialization re-runs the seeded build over the
+// caller's base rows and then verifies the fingerprint, rejecting with a
+// typed IOError when the rebuilt index answers differently than the one
+// that was saved (wrong base rows, config drift, or a build that stopped
 // being deterministic). This keeps artifacts small — the base embedding
 // rows are stored once by the containing artifact, not duplicated inside
 // the index section — while still giving load-time verify-or-reject
@@ -42,12 +44,16 @@ std::string SerializeAnnRecipe(const AnnIndex& index, const AnnConfig& config);
 /// \brief Rebuilds the index described by `payload` over `base` and
 /// verifies it.
 ///
-/// Fails with IOError when the payload is malformed, the shape disagrees
-/// with `base`, or the rebuilt index's fingerprint differs from the saved
-/// one. `context` names the source in error messages. Budget admission and
-/// deadlines apply through `ctx` exactly as in BuildAnnIndex.
+/// Fails with IOError when the payload is malformed, names a backend other
+/// than lsh, carries a table count or bit width other than the fixed ones
+/// (checked before anything is allocated), the shape disagrees with
+/// `base`, or the rebuilt index's fingerprint differs from the saved one.
+/// `context` names the source in error messages. Budget admission and
+/// deadlines apply through `ctx` exactly as in BuildAnnIndex. On success a
+/// non-null `config` receives the recipe's AnnConfig, so the caller can
+/// serialize the rebuilt index to the same recipe again.
 [[nodiscard]] Result<std::unique_ptr<AnnIndex>> RebuildAnnIndex(
     const std::string& payload, Matrix base, const RunContext& ctx,
-    const std::string& context);
+    const std::string& context, AnnConfig* config = nullptr);
 
 }  // namespace galign

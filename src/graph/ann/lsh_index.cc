@@ -20,9 +20,13 @@
 // same total order TopKSelect uses — so the output contract (descending
 // score, lowest index wins) is identical to the exact chunked scan and
 // recall is the only difference.
+//
+// This is the only AnnIndex implementation (the graph/ann/ann_index.h
+// entry points live here too).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -34,13 +38,12 @@
 #include "common/rng.h"
 #include "common/run_context.h"
 #include "common/status.h"
-#include "graph/ann/backends.h"
+#include "graph/ann/ann_index.h"
 #include "graph/similarity_chunked.h"
 #include "la/matrix.h"
 #include "la/ops.h"
 
 namespace galign {
-namespace ann_internal {
 namespace {
 
 // Rows hashed (build) or queried per outer block: bounds the transient
@@ -48,22 +51,48 @@ namespace {
 constexpr int64_t kHashBlockRows = 4096;
 constexpr int64_t kQueryBlockRows = 256;
 
+constexpr double kNoScore = -std::numeric_limits<double>::infinity();
+
+// Allocates the -1 / -inf padded TopKAlignment skeleton (rows_computed
+// stays 0 for the caller to advance).
+Result<TopKAlignment> MakeEmptyTopK(int64_t rows, int64_t cols, int64_t k) {
+  TopKAlignment out;
+  out.rows = rows;
+  out.cols = cols;
+  out.k = k;
+  out.rows_computed = 0;
+  try {
+    out.index.assign(static_cast<size_t>(rows) * k, -1);
+    out.score.assign(static_cast<size_t>(rows) * k, kNoScore);
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted(
+        "AnnIndex: top-k output of " + std::to_string(rows) + "x" +
+        std::to_string(k) + " does not fit");
+  }
+  return out;
+}
+
+// Plain inner product of two length-d rows (the re-ranking metric).
+inline double RowDot(const double* a, const double* b, int64_t d) {
+  double acc = 0.0;
+  for (int64_t i = 0; i < d; ++i) acc += a[i] * b[i];
+  return acc;
+}
+
 using SigEntry = std::pair<uint32_t, int32_t>;  // (signature, base row id)
 
 class LshIndex final : public AnnIndex {
  public:
-  LshIndex(Matrix base, Matrix planes, int64_t tables, int64_t bits,
-           int64_t probes, MemoryScope scope)
+  LshIndex(Matrix base, Matrix planes, int64_t bits, int64_t probes,
+           MemoryScope scope)
       : base_(std::move(base)),
         planes_(std::move(planes)),
-        tables_(tables),
         bits_(bits),
         probes_(probes),
         scope_(std::move(scope)),
-        bucket_starts_(static_cast<size_t>(tables)),
-        bucket_ids_(static_cast<size_t>(tables)) {}
+        bucket_starts_(static_cast<size_t>(kLshTables)),
+        bucket_ids_(static_cast<size_t>(kLshTables)) {}
 
-  std::string name() const override { return "lsh"; }
   int64_t size() const override { return indexed_; }
   int64_t dim() const override { return base_.cols(); }
   bool truncated() const override { return indexed_ < base_.rows(); }
@@ -121,8 +150,7 @@ class LshIndex final : public AnnIndex {
   }
 
   Matrix base_;
-  Matrix planes_;  // (tables * bits) x dim hyperplane normals
-  int64_t tables_;
+  Matrix planes_;  // (kLshTables * bits) x dim hyperplane normals
   int64_t bits_;
   int64_t probes_;
   int64_t indexed_ = 0;
@@ -135,7 +163,7 @@ class LshIndex final : public AnnIndex {
 
 Status LshIndex::BuildTables(const RunContext& ctx) {
   const int64_t n = base_.rows();
-  const int64_t sig_cols = tables_ * bits_;
+  const int64_t sig_cols = kLshTables * bits_;
   const size_t nbuckets = size_t{1} << bits_;
   if (n == 0) {
     try {
@@ -147,7 +175,7 @@ Status LshIndex::BuildTables(const RunContext& ctx) {
   }
 
   // Transient per-table (signature, id) pairs; frozen into CSR below.
-  std::vector<std::vector<SigEntry>> entries(static_cast<size_t>(tables_));
+  std::vector<std::vector<SigEntry>> entries(static_cast<size_t>(kLshTables));
   try {
     for (auto& t : entries) t.reserve(static_cast<size_t>(n));
   } catch (const std::bad_alloc&) {
@@ -166,7 +194,7 @@ Status LshIndex::BuildTables(const RunContext& ctx) {
     if (p.rows() != nrows) p.Resize(nrows, sig_cols);
     MatMulTransposedBInto(strip, planes_, &p);
     for (int64_t i = 0; i < nrows; ++i) {
-      for (int64_t t = 0; t < tables_; ++t) {
+      for (int64_t t = 0; t < kLshTables; ++t) {
         entries[static_cast<size_t>(t)].emplace_back(
             Signature(p, i, t), static_cast<int32_t>(r0 + i));
       }
@@ -177,7 +205,7 @@ Status LshIndex::BuildTables(const RunContext& ctx) {
   // Freeze: sort by (signature, id), then prefix-sum bucket counts into
   // the direct-addressed offset arrays.
   try {
-    for (int64_t t = 0; t < tables_; ++t) {
+    for (int64_t t = 0; t < kLshTables; ++t) {
       auto& ent = entries[static_cast<size_t>(t)];
       std::sort(ent.begin(), ent.end());
       auto& starts = bucket_starts_[static_cast<size_t>(t)];
@@ -192,7 +220,7 @@ Status LshIndex::BuildTables(const RunContext& ctx) {
     }
   } catch (const std::bad_alloc&) {
     return Status::ResourceExhausted("LshIndex: bucket offsets for " +
-                                     std::to_string(tables_) + " x 2^" +
+                                     std::to_string(kLshTables) + " x 2^" +
                                      std::to_string(bits_) +
                                      " buckets do not fit");
   }
@@ -225,7 +253,7 @@ Result<TopKAlignment> LshIndex::QueryBatch(const Matrix& queries, int64_t k,
   const double eff = std::clamp(effort, 0.0, 1.0);
   const int64_t eff_probes = std::max<int64_t>(
       1, std::llround(static_cast<double>(probes_) * eff));
-  const int64_t sig_cols = tables_ * bits_;
+  const int64_t sig_cols = kLshTables * bits_;
   const int64_t qblock = std::min(kQueryBlockRows, rows);
   MemoryScope scope;
   GALIGN_RETURN_NOT_OK(MemoryScope::Reserve(
@@ -271,7 +299,7 @@ Result<TopKAlignment> LshIndex::QueryBatch(const Matrix& queries, int64_t k,
           for (int64_t i = cb; i < ce; ++i) {
             const int32_t epoch = static_cast<int32_t>(i);
             cand.clear();
-            for (int64_t t = 0; t < tables_; ++t) {
+            for (int64_t t = 0; t < kLshTables; ++t) {
               const uint32_t sig = Signature(p, i, t);
               ProbeBucket(t, sig, epoch, &stamp, &cand);
               if (eff_probes <= 1) continue;
@@ -339,31 +367,54 @@ Result<TopKAlignment> LshIndex::QueryBatch(const Matrix& queries, int64_t k,
 
 }  // namespace
 
-Result<std::unique_ptr<AnnIndex>> BuildLshIndex(Matrix base,
+int64_t EffectiveLshBits(int64_t n) {
+  // ~1 point per bucket (2^bits >= n), clamped. Dense signatures keep
+  // probed buckets thin on clustered data — with coarser buckets every
+  // probe drags in whole near-duplicate groups and query cost scales with
+  // group size instead of k.
+  int64_t bits = 4;
+  while (bits < kLshMaxBits && (int64_t{1} << bits) < n) ++bits;
+  return bits;
+}
+
+uint64_t EstimateAnnIndexBytes(int64_t n, int64_t dim) {
+  const uint64_t un = static_cast<uint64_t>(std::max<int64_t>(n, 0));
+  const int64_t bits = EffectiveLshBits(n);
+  const uint64_t tables = static_cast<uint64_t>(kLshTables);
+  // Base copy + hyperplanes + per-table direct-addressed bucket offsets
+  // (2^bits + 1) and packed id arrays, + the transient sorted
+  // (signature, id) pairs and projection block used while hashing.
+  return DenseBytes(n, dim) + DenseBytes(kLshTables * bits, dim) +
+         tables * ((uint64_t{1} << bits) + 1 + un) * sizeof(int32_t) +
+         un * (sizeof(uint32_t) + sizeof(int32_t)) +
+         DenseBytes(kHashBlockRows, kLshTables * bits);
+}
+
+Result<std::unique_ptr<AnnIndex>> BuildAnnIndex(Matrix base,
                                                 const AnnConfig& config,
                                                 const RunContext& ctx) {
+  if (base.rows() < 0 || base.cols() < 0) {
+    return Status::InvalidArgument("BuildAnnIndex: negative base extents");
+  }
   const int64_t n = base.rows();
   const int64_t d = base.cols();
-  const int64_t tables = std::max<int64_t>(1, config.lsh_tables);
-  const int64_t bits = EffectiveLshBits(config, n);
+  const int64_t bits = EffectiveLshBits(n);
   const int64_t probes = std::max<int64_t>(1, config.lsh_probes);
 
   MemoryScope scope;
-  GALIGN_RETURN_NOT_OK(MemoryScope::Reserve(ctx.budget(),
-                                            EstimateAnnIndexBytes(n, d, config),
-                                            "lsh index", &scope));
+  GALIGN_RETURN_NOT_OK(MemoryScope::Reserve(
+      ctx.budget(), EstimateAnnIndexBytes(n, d), "lsh index", &scope));
 
-  // Hyperplane normals: shape is configuration-bounded (tables * bits <=
-  // 192 rows), so the throwing constructor is fine per DESIGN.md §9.
+  // Hyperplane normals: shape is bounded by the constants (kLshTables *
+  // kLshMaxBits = 160 rows), so the throwing constructor is fine per
+  // DESIGN.md §9.
   Rng rng(config.seed);
-  Matrix planes = Matrix::Gaussian(tables * bits, d, &rng);
+  Matrix planes = Matrix::Gaussian(kLshTables * bits, d, &rng);
 
   auto index = std::make_unique<LshIndex>(std::move(base), std::move(planes),
-                                          tables, bits, probes,
-                                          std::move(scope));
+                                          bits, probes, std::move(scope));
   GALIGN_RETURN_NOT_OK(index->BuildTables(ctx));
   return Result<std::unique_ptr<AnnIndex>>(std::move(index));
 }
 
-}  // namespace ann_internal
 }  // namespace galign

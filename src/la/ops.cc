@@ -279,24 +279,6 @@ Matrix Transpose(const Matrix& a) {
   return t;
 }
 
-Matrix Add(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c.Add(b);
-  return c;
-}
-
-Matrix Sub(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c.Axpy(-1.0, b);
-  return c;
-}
-
-Matrix Scale(const Matrix& a, double alpha) {
-  Matrix c = a;
-  c.Scale(alpha);
-  return c;
-}
-
 Matrix Hadamard(const Matrix& a, const Matrix& b) {
   GALIGN_DCHECK(a.SameShape(b));
   Matrix c(a.rows(), a.cols());
@@ -312,12 +294,6 @@ Matrix Map(const Matrix& a, const std::function<double(double)>& f) {
   const double* pa = a.data();
   double* pc = c.data();
   for (int64_t i = 0; i < a.size(); ++i) pc[i] = f(pa[i]);
-  return c;
-}
-
-Matrix Tanh(const Matrix& a) {
-  Matrix c;
-  TanhInto(a, &c);
   return c;
 }
 

@@ -51,25 +51,14 @@ void MatMulTransposedAInto(const Matrix& a, const Matrix& b, Matrix* out,
 /// A^T, cache-blocked and parallel over column blocks.
 Matrix Transpose(const Matrix& a);
 
-/// C = A + B (shapes must match).
-Matrix Add(const Matrix& a, const Matrix& b);
-
-/// C = A - B (shapes must match).
-Matrix Sub(const Matrix& a, const Matrix& b);
-
-/// C = alpha * A.
-Matrix Scale(const Matrix& a, double alpha);
-
 /// Element-wise product (Hadamard).
 Matrix Hadamard(const Matrix& a, const Matrix& b);
 
 /// Applies f to every entry.
 Matrix Map(const Matrix& a, const std::function<double(double)>& f);
 
-/// tanh applied element-wise (the paper's GCN activation, §IV-A).
-Matrix Tanh(const Matrix& a);
-
-/// out = tanh(A) element-wise; out == &a computes in place.
+/// out = tanh(A) element-wise (the paper's GCN activation, §IV-A);
+/// out == &a computes in place.
 void TanhInto(const Matrix& a, Matrix* out);
 
 /// <A, B> = sum_ij A_ij B_ij.

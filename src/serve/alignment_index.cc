@@ -258,7 +258,7 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Parse(
   auto base = ConcatLayerRows(out->target_layers_, nullptr, ctx.budget());
   GALIGN_RETURN_NOT_OK(base.status());
   auto ann = RebuildAnnIndex(ann_payload, std::move(base.ValueOrDie()), ctx,
-                             context + " ann section");
+                             context + " ann section", &out->ann_config_);
   GALIGN_RETURN_NOT_OK(ann.status());
   out->ann_ = std::move(ann.ValueOrDie());
   // RebuildAnnIndex verified the rebuilt index against the recipe's saved

@@ -1,17 +1,20 @@
-// Unit tests for the ANN retrieval layer (DESIGN.md §11): both backends'
+// Unit tests for the ANN retrieval layer (DESIGN.md §11): the LSH index's
 // construction/query contracts, determinism, truncation under cancellation,
-// budget admission, the concat reduction, and the routing policy. The
-// recall *property* (measured recall >= target on generated workloads)
-// lives in ann_recall_test.cc.
+// budget admission, the recipe codec, the concat reduction, and the
+// routing policy. The recall *property* (measured recall >= target on
+// generated workloads) lives in ann_recall_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "graph/ann/ann.h"
 #include "graph/ann/ann_index.h"
+#include "graph/ann/ann_io.h"
 #include "graph/similarity_chunked.h"
 #include "la/matrix.h"
 
@@ -25,95 +28,77 @@ Matrix UnitRows(int64_t n, int64_t d, uint64_t seed) {
   return m;
 }
 
-AnnConfig BackendConfig(AnnBackend backend) {
-  AnnConfig cfg;
-  cfg.backend = backend;
-  return cfg;
-}
-
-const AnnBackend kBackends[] = {AnnBackend::kLsh, AnnBackend::kHnsw};
-
 TEST(AnnIndexTest, SelfQueryRecoversSelfTop1) {
   // Querying the indexed rows themselves: every unit row's best inner
-  // product is itself (similarity 1), a retrieval-sanity floor both
-  // backends must clear on a small index.
+  // product is itself (similarity 1), a retrieval-sanity floor the index
+  // must clear on a small index.
   const Matrix base = UnitRows(200, 16, 7);
-  for (AnnBackend backend : kBackends) {
-    auto index = BuildAnnIndex(base, BackendConfig(backend), RunContext());
-    ASSERT_TRUE(index.ok()) << index.status().ToString();
-    EXPECT_EQ(index.ValueOrDie()->size(), 200);
-    EXPECT_EQ(index.ValueOrDie()->dim(), 16);
-    EXPECT_FALSE(index.ValueOrDie()->truncated());
-    EXPECT_GT(index.ValueOrDie()->MemoryBytes(), 0u);
-    auto topk = index.ValueOrDie()->QueryBatch(base, 5);
-    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-    const TopKAlignment& a = topk.ValueOrDie();
-    EXPECT_EQ(a.rows_computed, 200);
-    int hits = 0;
-    for (int64_t v = 0; v < a.rows; ++v) {
-      if (a.Top1(v) == v) ++hits;
-      // Scores descend within each row; indices stay in range.
-      for (int64_t j = 0; j < a.k; ++j) {
-        EXPECT_LT(a.index[v * a.k + j], 200);
-        if (j > 0 && a.index[v * a.k + j] >= 0) {
-          EXPECT_LE(a.score[v * a.k + j], a.score[v * a.k + j - 1]);
-        }
+  auto index = BuildAnnIndex(base, AnnConfig(), RunContext());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(index.ValueOrDie()->size(), 200);
+  EXPECT_EQ(index.ValueOrDie()->dim(), 16);
+  EXPECT_FALSE(index.ValueOrDie()->truncated());
+  EXPECT_GT(index.ValueOrDie()->MemoryBytes(), 0u);
+  auto topk = index.ValueOrDie()->QueryBatch(base, 5);
+  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+  const TopKAlignment& a = topk.ValueOrDie();
+  EXPECT_EQ(a.rows_computed, 200);
+  int hits = 0;
+  for (int64_t v = 0; v < a.rows; ++v) {
+    if (a.Top1(v) == v) ++hits;
+    // Scores descend within each row; indices stay in range.
+    for (int64_t j = 0; j < a.k; ++j) {
+      EXPECT_LT(a.index[v * a.k + j], 200);
+      if (j > 0 && a.index[v * a.k + j] >= 0) {
+        EXPECT_LE(a.score[v * a.k + j], a.score[v * a.k + j - 1]);
       }
     }
-    EXPECT_EQ(hits, 200) << "backend " << static_cast<int>(backend);
   }
+  EXPECT_EQ(hits, 200);
 }
 
 TEST(AnnIndexTest, DeterministicAcrossRebuilds) {
   const Matrix base = UnitRows(150, 12, 11);
   const Matrix queries = UnitRows(40, 12, 13);
-  for (AnnBackend backend : kBackends) {
-    auto i1 = BuildAnnIndex(base, BackendConfig(backend), RunContext());
-    auto i2 = BuildAnnIndex(base, BackendConfig(backend), RunContext());
-    ASSERT_TRUE(i1.ok() && i2.ok());
-    auto r1 = i1.ValueOrDie()->QueryBatch(queries, 7);
-    auto r2 = i2.ValueOrDie()->QueryBatch(queries, 7);
-    ASSERT_TRUE(r1.ok() && r2.ok());
-    EXPECT_EQ(r1.ValueOrDie().index, r2.ValueOrDie().index);
-    EXPECT_EQ(r1.ValueOrDie().score, r2.ValueOrDie().score);
-  }
+  auto i1 = BuildAnnIndex(base, AnnConfig(), RunContext());
+  auto i2 = BuildAnnIndex(base, AnnConfig(), RunContext());
+  ASSERT_TRUE(i1.ok() && i2.ok());
+  auto r1 = i1.ValueOrDie()->QueryBatch(queries, 7);
+  auto r2 = i2.ValueOrDie()->QueryBatch(queries, 7);
+  ASSERT_TRUE(r1.ok() && r2.ok());
+  EXPECT_EQ(r1.ValueOrDie().index, r2.ValueOrDie().index);
+  EXPECT_EQ(r1.ValueOrDie().score, r2.ValueOrDie().score);
 }
 
 TEST(AnnIndexTest, KLargerThanIndexClampsWithPadding) {
   const Matrix base = UnitRows(6, 8, 3);
   const Matrix queries = UnitRows(4, 8, 5);
-  for (AnnBackend backend : kBackends) {
-    auto index = BuildAnnIndex(base, BackendConfig(backend), RunContext());
-    ASSERT_TRUE(index.ok());
-    auto topk = index.ValueOrDie()->QueryBatch(queries, 50);
-    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-    const TopKAlignment& a = topk.ValueOrDie();
-    EXPECT_LE(a.k, 6);
-    for (int64_t i = 0; i < a.rows * a.k; ++i) {
-      EXPECT_GE(a.index[i], -1);
-      EXPECT_LT(a.index[i], 6);
-    }
+  auto index = BuildAnnIndex(base, AnnConfig(), RunContext());
+  ASSERT_TRUE(index.ok());
+  auto topk = index.ValueOrDie()->QueryBatch(queries, 50);
+  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+  const TopKAlignment& a = topk.ValueOrDie();
+  EXPECT_LE(a.k, 6);
+  for (int64_t i = 0; i < a.rows * a.k; ++i) {
+    EXPECT_GE(a.index[i], -1);
+    EXPECT_LT(a.index[i], 6);
   }
 }
 
 TEST(AnnIndexTest, EmptyBaseAndEmptyQueriesStayClean) {
-  for (AnnBackend backend : kBackends) {
-    auto index =
-        BuildAnnIndex(Matrix(0, 8), BackendConfig(backend), RunContext());
-    ASSERT_TRUE(index.ok()) << index.status().ToString();
-    EXPECT_EQ(index.ValueOrDie()->size(), 0);
-    auto topk = index.ValueOrDie()->QueryBatch(UnitRows(3, 8, 1), 4);
-    ASSERT_TRUE(topk.ok());
-    EXPECT_EQ(topk.ValueOrDie().rows_computed, 3);
-    for (int64_t idx : topk.ValueOrDie().index) EXPECT_EQ(idx, -1);
+  auto index = BuildAnnIndex(Matrix(0, 8), AnnConfig(), RunContext());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(index.ValueOrDie()->size(), 0);
+  auto topk = index.ValueOrDie()->QueryBatch(UnitRows(3, 8, 1), 4);
+  ASSERT_TRUE(topk.ok());
+  EXPECT_EQ(topk.ValueOrDie().rows_computed, 3);
+  for (int64_t idx : topk.ValueOrDie().index) EXPECT_EQ(idx, -1);
 
-    auto full = BuildAnnIndex(UnitRows(5, 8, 2), BackendConfig(backend),
-                              RunContext());
-    ASSERT_TRUE(full.ok());
-    auto none = full.ValueOrDie()->QueryBatch(Matrix(0, 8), 4);
-    ASSERT_TRUE(none.ok());
-    EXPECT_EQ(none.ValueOrDie().rows, 0);
-  }
+  auto full = BuildAnnIndex(UnitRows(5, 8, 2), AnnConfig(), RunContext());
+  ASSERT_TRUE(full.ok());
+  auto none = full.ValueOrDie()->QueryBatch(Matrix(0, 8), 4);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none.ValueOrDie().rows, 0);
 }
 
 TEST(AnnIndexTest, CancelledBuildYieldsTruncatedButServingIndex) {
@@ -121,67 +106,51 @@ TEST(AnnIndexTest, CancelledBuildYieldsTruncatedButServingIndex) {
   token.Cancel();
   RunContext ctx = RunContext().SetToken(token);
   const Matrix base = UnitRows(100, 8, 17);
-  for (AnnBackend backend : kBackends) {
-    auto index = BuildAnnIndex(base, BackendConfig(backend), ctx);
-    ASSERT_TRUE(index.ok()) << index.status().ToString();
-    EXPECT_TRUE(index.ValueOrDie()->truncated());
-    EXPECT_LT(index.ValueOrDie()->size(), 100);
-    // The truncated index still answers over the inserted prefix.
-    auto topk = index.ValueOrDie()->QueryBatch(UnitRows(5, 8, 19), 3);
-    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-  }
+  auto index = BuildAnnIndex(base, AnnConfig(), ctx);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_TRUE(index.ValueOrDie()->truncated());
+  EXPECT_LT(index.ValueOrDie()->size(), 100);
+  // The truncated index still answers over the inserted prefix.
+  auto topk = index.ValueOrDie()->QueryBatch(UnitRows(5, 8, 19), 3);
+  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
 }
 
 TEST(AnnIndexTest, CancelledQueryWindsDownWithPartialRows) {
   const Matrix base = UnitRows(300, 8, 23);
   const Matrix queries = UnitRows(600, 8, 29);
-  for (AnnBackend backend : kBackends) {
-    auto index = BuildAnnIndex(base, BackendConfig(backend), RunContext());
-    ASSERT_TRUE(index.ok());
-    CancelToken token;
-    token.Cancel();
-    RunContext ctx = RunContext().SetToken(token);
-    auto topk = index.ValueOrDie()->QueryBatch(queries, 3, ctx);
-    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-    const TopKAlignment& a = topk.ValueOrDie();
-    EXPECT_EQ(a.rows_computed, 0);
-    for (int64_t idx : a.index) EXPECT_EQ(idx, -1);
-  }
+  auto index = BuildAnnIndex(base, AnnConfig(), RunContext());
+  ASSERT_TRUE(index.ok());
+  CancelToken token;
+  token.Cancel();
+  RunContext ctx = RunContext().SetToken(token);
+  auto topk = index.ValueOrDie()->QueryBatch(queries, 3, ctx);
+  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+  const TopKAlignment& a = topk.ValueOrDie();
+  EXPECT_EQ(a.rows_computed, 0);
+  for (int64_t idx : a.index) EXPECT_EQ(idx, -1);
 }
 
 TEST(AnnIndexTest, TinyBudgetIsRefusedCleanly) {
   const Matrix base = UnitRows(4096, 32, 31);
   RunContext ctx = RunContext::WithMemoryBudget(16 << 10);
-  for (AnnBackend backend : kBackends) {
-    auto index = BuildAnnIndex(base, BackendConfig(backend), ctx);
-    EXPECT_FALSE(index.ok()) << "backend " << static_cast<int>(backend);
-    EXPECT_EQ(index.status().code(), StatusCode::kResourceExhausted);
-  }
+  auto index = BuildAnnIndex(base, AnnConfig(), ctx);
+  EXPECT_FALSE(index.ok());
+  EXPECT_EQ(index.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(AnnIndexTest, EstimateCoversActualFootprint) {
   const Matrix base = UnitRows(2000, 16, 37);
-  for (AnnBackend backend : kBackends) {
-    const AnnConfig cfg = BackendConfig(backend);
-    auto index = BuildAnnIndex(base, cfg, RunContext());
-    ASSERT_TRUE(index.ok());
-    EXPECT_LE(index.ValueOrDie()->MemoryBytes(),
-              EstimateAnnIndexBytes(2000, 16, cfg))
-        << index.ValueOrDie()->name();
-  }
+  auto index = BuildAnnIndex(base, AnnConfig(), RunContext());
+  ASSERT_TRUE(index.ok());
+  EXPECT_LE(index.ValueOrDie()->MemoryBytes(),
+            EstimateAnnIndexBytes(2000, 16));
 }
 
 TEST(AnnConfigTest, EffectiveLshBitsAutoAndClamp) {
-  AnnConfig cfg;
-  cfg.lsh_bits = 0;
-  EXPECT_EQ(EffectiveLshBits(cfg, 0), 4);      // floor
-  EXPECT_EQ(EffectiveLshBits(cfg, 16), 4);     // 2^4 = 16
-  EXPECT_EQ(EffectiveLshBits(cfg, 17), 5);
-  EXPECT_EQ(EffectiveLshBits(cfg, 1 << 20), 20);  // cap
-  cfg.lsh_bits = 40;
-  EXPECT_EQ(EffectiveLshBits(cfg, 100), 20);   // explicit value clamped
-  cfg.lsh_bits = 6;
-  EXPECT_EQ(EffectiveLshBits(cfg, 1 << 20), 6);
+  EXPECT_EQ(EffectiveLshBits(0), 4);      // floor
+  EXPECT_EQ(EffectiveLshBits(16), 4);     // 2^4 = 16
+  EXPECT_EQ(EffectiveLshBits(17), 5);
+  EXPECT_EQ(EffectiveLshBits(1 << 20), 20);  // cap
 }
 
 TEST(AnnPolicyTest, ShouldUseAnnRespectsModeAndThreshold) {
@@ -201,13 +170,10 @@ TEST(AnnPolicyTest, ShouldUseAnnRespectsModeAndThreshold) {
 TEST(AnnPolicyTest, EffortScalesWithRecallTarget) {
   AnnPolicy policy;
   policy.config.lsh_probes = 10;
-  policy.config.hnsw_ef_search = 50;
   policy.recall_target = 0.98;
   EXPECT_EQ(EffortScaledConfig(policy).lsh_probes, 10);
   policy.recall_target = 0.995;
-  AnnConfig scaled = EffortScaledConfig(policy);
-  EXPECT_EQ(scaled.lsh_probes, 20);
-  EXPECT_EQ(scaled.hnsw_ef_search, 100);
+  EXPECT_EQ(EffortScaledConfig(policy).lsh_probes, 20);
   policy.recall_target = 0.999;
   EXPECT_EQ(EffortScaledConfig(policy).lsh_probes, 30);
 }
@@ -247,27 +213,22 @@ TEST(AnnEmbeddingTest, MatchesChunkedContractOnMultiOrderInput) {
   const std::vector<double> theta = {0.7, 0.3};
   auto exact = ChunkedEmbeddingTopK(hs, ht, theta, 5, RunContext());
   ASSERT_TRUE(exact.ok());
-  for (AnnBackend backend : kBackends) {
-    AnnPolicy policy;
-    policy.mode = AnnMode::kOn;
-    policy.config.backend = backend;
-    // Exhaustive effort on a toy problem: probe everything / full beam.
-    policy.config.lsh_probes = 1 << 10;
-    policy.config.hnsw_ef_search = 90;
-    auto ann = AnnEmbeddingTopK(hs, ht, theta, 5, policy, RunContext());
-    ASSERT_TRUE(ann.ok()) << ann.status().ToString();
-    const TopKAlignment& a = ann.ValueOrDie();
-    const TopKAlignment& e = exact.ValueOrDie();
-    EXPECT_EQ(a.rows, e.rows);
-    EXPECT_EQ(a.cols, e.cols);
-    EXPECT_EQ(a.k, e.k);
-    int top1_matches = 0;
-    for (int64_t v = 0; v < a.rows; ++v) {
-      if (a.Top1(v) == e.Top1(v)) ++top1_matches;
-    }
-    EXPECT_GE(top1_matches, 114)  // >= 95% at exhaustive effort
-        << "backend " << static_cast<int>(backend);
+  AnnPolicy policy;
+  policy.mode = AnnMode::kOn;
+  // Exhaustive effort on a toy problem: probe everything.
+  policy.config.lsh_probes = 1 << 10;
+  auto ann = AnnEmbeddingTopK(hs, ht, theta, 5, policy, RunContext());
+  ASSERT_TRUE(ann.ok()) << ann.status().ToString();
+  const TopKAlignment& a = ann.ValueOrDie();
+  const TopKAlignment& e = exact.ValueOrDie();
+  EXPECT_EQ(a.rows, e.rows);
+  EXPECT_EQ(a.cols, e.cols);
+  EXPECT_EQ(a.k, e.k);
+  int top1_matches = 0;
+  for (int64_t v = 0; v < a.rows; ++v) {
+    if (a.Top1(v) == e.Top1(v)) ++top1_matches;
   }
+  EXPECT_GE(top1_matches, 114);  // >= 95% at exhaustive effort
 }
 
 TEST(AnnEmbeddingTest, RejectsMalformedInput) {
@@ -282,6 +243,77 @@ TEST(AnnEmbeddingTest, RejectsMalformedInput) {
   std::vector<Matrix> ht_wrong_dim = {UnitRows(8, 6, 2)};
   EXPECT_FALSE(
       AnnEmbeddingTopK(hs, ht_wrong_dim, {1.0}, 3, policy, RunContext()).ok());
+}
+
+// Replaces the whole line starting with `key ` in a recipe payload.
+std::string WithLine(std::string recipe, const std::string& key,
+                     const std::string& line) {
+  const size_t at = recipe.find("\n" + key + " ");
+  EXPECT_NE(at, std::string::npos) << key;
+  const size_t end = recipe.find('\n', at + 1);
+  return recipe.replace(at + 1, end - at - 1, line);
+}
+
+TEST(AnnRecipeTest, RebuildAcceptsTheV1LayoutAndRejectsOtherIndexes) {
+  const Matrix base = UnitRows(40, 8, 59);
+  auto built = BuildAnnIndex(base, AnnConfig(), RunContext());
+  ASSERT_TRUE(built.ok());
+  const AnnIndex& index = *built.ValueOrDie();
+  const std::string recipe = SerializeAnnRecipe(index, AnnConfig());
+
+  // The v1 layout byte for byte: the fixed backend / table / bit lines and
+  // the legacy HNSW knobs keep artifacts identical to earlier builds.
+  char fp[16];
+  std::snprintf(fp, sizeof(fp), "%08x", AnnIndexFingerprint(index));
+  EXPECT_EQ(recipe,
+            "galign-ann-recipe-v1\n"
+            "backend lsh\n"
+            "seed 42\n"
+            "lsh_tables 8\n"
+            "lsh_bits 0\n"
+            "lsh_probes 16\n"
+            "hnsw_degree 12\n"
+            "hnsw_ef_construction 96\n"
+            "hnsw_ef_search 96\n"
+            "rows 40\n"
+            "dim 8\n"
+            "fingerprint " + std::string(fp) + "\n"
+            "end\n");
+
+  struct Row {
+    const char* what;
+    std::string payload;
+    const char* error;  // substring of the IOError, nullptr = must load
+  };
+  const Row rows[] = {
+      {"retired backend", WithLine(recipe, "backend", "backend hnsw"),
+       "HNSW backend was retired"},
+      {"huge table count",
+       WithLine(recipe, "lsh_tables", "lsh_tables 100000000000"),
+       "lsh_tables = 100000000000"},
+      {"explicit bit width", WithLine(recipe, "lsh_bits", "lsh_bits 6"),
+       "lsh_bits = 6"},
+      {"old recipe at a tighter recall target",
+       WithLine(recipe, "hnsw_ef_search", "hnsw_ef_search 192"), nullptr},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    if (row.error == nullptr) {
+      auto got = RebuildAnnIndex(row.payload, base, RunContext(), "test");
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(AnnIndexFingerprint(*got.ValueOrDie()),
+                AnnIndexFingerprint(index));
+      continue;
+    }
+    // A 1-byte budget: a rejection that reached the index build would come
+    // back ResourceExhausted, so IOError proves nothing was allocated.
+    auto got = RebuildAnnIndex(row.payload, base,
+                               RunContext::WithMemoryBudget(1), "test");
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kIOError);
+    EXPECT_NE(got.status().message().find(row.error), std::string::npos)
+        << got.status().ToString();
+  }
 }
 
 }  // namespace

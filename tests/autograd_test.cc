@@ -395,7 +395,8 @@ TEST(ConsistencyLossTest, MatchesDenseFormula) {
   Tape t;
   Var hv = t.Leaf(h, false);
   Var loss = ag::ConsistencyLoss(&t, &c, hv);
-  Matrix dense_diff = Sub(c.ToDense(), MatMulTransposedB(h, h));
+  Matrix dense_diff = c.ToDense();
+  dense_diff.Axpy(-1.0, MatMulTransposedB(h, h));
   EXPECT_NEAR(t.value(loss)(0, 0), dense_diff.FrobeniusNorm(), 1e-9);
 }
 

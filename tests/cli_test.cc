@@ -118,6 +118,16 @@ TEST_F(CliTest, UnknownMethodFails) {
   EXPECT_NE(RunCli("--method=definitely_not_a_method"), 0);
 }
 
+TEST_F(CliTest, UnknownFlagRejected) {
+  // --ann-backend is gone with the HNSW backend: it is now just unknown.
+  for (const char* flag : {"--definitely-not-a-flag=1", "--ann-backend=hnsw"}) {
+    const int rc = RunCli(std::string("--method=galign ") + flag);
+    EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 2) << flag;
+    EXPECT_NE(CapturedOutput().find("unknown flag"), std::string::npos)
+        << flag;
+  }
+}
+
 // Typed flag validation (DESIGN.md §12): each rejection exits nonzero and
 // prints an InvalidArgument diagnostic that carries the flag name, the
 // offending value, and the file:line of the validation site.

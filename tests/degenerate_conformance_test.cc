@@ -263,16 +263,13 @@ TEST(DegenerateConformanceTest, AnnRoutedAlignersAllShapes) {
   auto shapes = DegenerateShapes();
   shapes.push_back(
       {"identical-attributes", IdenticalAttributes(10), IdenticalAttributes(8)});
-  for (AnnBackend backend : {AnnBackend::kLsh, AnnBackend::kHnsw}) {
-    for (auto& a : AnnRoutedAligners()) {
-      AnnPolicy policy;
-      policy.mode = AnnMode::kOn;
-      policy.config.backend = backend;
-      a->set_ann_policy(policy);
-      for (const auto& shape : shapes) {
-        ExpectAnnConformance(a.get(), shape.source, shape.target, shape.name,
-                             RunContext());
-      }
+  for (auto& a : AnnRoutedAligners()) {
+    AnnPolicy policy;
+    policy.mode = AnnMode::kOn;
+    a->set_ann_policy(policy);
+    for (const auto& shape : shapes) {
+      ExpectAnnConformance(a.get(), shape.source, shape.target, shape.name,
+                           RunContext());
     }
   }
 }
@@ -281,17 +278,14 @@ TEST(DegenerateConformanceTest, AnnRoutedBudgetedRunsStayClean) {
   auto shapes = DegenerateShapes();
   shapes.push_back(
       {"identical-attributes", IdenticalAttributes(10), IdenticalAttributes(8)});
-  for (AnnBackend backend : {AnnBackend::kLsh, AnnBackend::kHnsw}) {
-    for (auto& a : AnnRoutedAligners()) {
-      AnnPolicy policy;
-      policy.mode = AnnMode::kOn;
-      policy.config.backend = backend;
-      a->set_ann_policy(policy);
-      for (const auto& shape : shapes) {
-        RunContext ctx = RunContext::WithMemoryBudget(32 << 10);
-        ExpectAnnConformance(a.get(), shape.source, shape.target, shape.name,
-                             ctx);
-      }
+  for (auto& a : AnnRoutedAligners()) {
+    AnnPolicy policy;
+    policy.mode = AnnMode::kOn;
+    a->set_ann_policy(policy);
+    for (const auto& shape : shapes) {
+      RunContext ctx = RunContext::WithMemoryBudget(32 << 10);
+      ExpectAnnConformance(a.get(), shape.source, shape.target, shape.name,
+                           ctx);
     }
   }
 }

@@ -144,7 +144,8 @@ TEST_P(SparseLayerOne, MatchesDenseReference) {
   Matrix xhat = f;
   xhat.NormalizeRows();
   const Matrix agg = reference::MatMul(lap.ToDense(), xhat);
-  Matrix expected = Tanh(reference::MatMul(agg, gcn.weights()[0]));
+  Matrix expected;
+  TanhInto(reference::MatMul(agg, gcn.weights()[0]), &expected);
   expected.NormalizeRows();
 
   const GcnInput input = MultiOrderGcn::PrepareInput(&lap, f);
@@ -261,7 +262,8 @@ TEST(GcnTest, ReluIsNotSignPreserving) {
   // relu(0) for x > 0 collapses negatives.
   Matrix pre{{-0.5, 0.5}};
   Matrix relu = Map(pre, [](double v) { return v > 0 ? v : 0.0; });
-  Matrix t = Tanh(pre);
+  Matrix t;
+  TanhInto(pre, &t);
   EXPECT_DOUBLE_EQ(relu(0, 0), 0.0);   // sign information destroyed
   EXPECT_LT(t(0, 0), 0.0);             // sign information kept
 }

@@ -155,9 +155,15 @@ TEST(OpsTest, TransposeRoundTrip) {
 TEST(OpsTest, AddSubScaleHadamard) {
   Matrix a{{1, 2}, {3, 4}};
   Matrix b{{10, 20}, {30, 40}};
-  EXPECT_DOUBLE_EQ(Add(a, b)(1, 1), 44);
-  EXPECT_DOUBLE_EQ(Sub(b, a)(0, 0), 9);
-  EXPECT_DOUBLE_EQ(Scale(a, -2)(0, 1), -4);
+  Matrix sum = a;
+  sum.Add(b);
+  EXPECT_DOUBLE_EQ(sum(1, 1), 44);
+  Matrix diff = b;
+  diff.Axpy(-1.0, a);
+  EXPECT_DOUBLE_EQ(diff(0, 0), 9);
+  Matrix scaled = a;
+  scaled.Scale(-2);
+  EXPECT_DOUBLE_EQ(scaled(0, 1), -4);
   EXPECT_DOUBLE_EQ(Hadamard(a, b)(1, 0), 90);
 }
 
@@ -171,7 +177,8 @@ TEST(OpsTest, MapAppliesFunction) {
 TEST(OpsTest, TanhMatchesStd) {
   Rng rng(2);
   Matrix a = Matrix::Gaussian(11, 7, &rng, 2.0);
-  Matrix t = Tanh(a);
+  Matrix t;
+  TanhInto(a, &t);
   for (int64_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(t.data()[i], std::tanh(a.data()[i]));
   }
@@ -241,7 +248,8 @@ TEST(OpsTest, TopKRowMatchesSortReference) {
 TEST(OpsTest, TanhIntoInPlace) {
   Rng rng(22);
   Matrix a = Matrix::Gaussian(9, 13, &rng, 2.0);
-  Matrix expected = Tanh(a);
+  Matrix expected;
+  TanhInto(a, &expected);
   Matrix inplace = a;
   TanhInto(inplace, &inplace);
   EXPECT_LT(Matrix::MaxAbsDiff(inplace, expected), 1e-15);

@@ -231,34 +231,29 @@ TEST(RaceStress, ConcurrentQueriesAgainstSharedAnnIndex) {
   base.NormalizeRows();
   Matrix queries = Matrix::Gaussian(64, 12, &rng);
   queries.NormalizeRows();
-  for (AnnBackend backend : {AnnBackend::kLsh, AnnBackend::kHnsw}) {
-    AnnConfig cfg;
-    cfg.backend = backend;
-    auto index = BuildAnnIndex(base, cfg, RunContext());
-    ASSERT_TRUE(index.ok()) << index.status().ToString();
-    const AnnIndex& shared = *index.ValueOrDie();
-    auto baseline = shared.QueryBatch(queries, 5);
-    ASSERT_TRUE(baseline.ok());
+  auto index = BuildAnnIndex(base, AnnConfig(), RunContext());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const AnnIndex& shared = *index.ValueOrDie();
+  auto baseline = shared.QueryBatch(queries, 5);
+  ASSERT_TRUE(baseline.ok());
 
-    constexpr int kThreads = 6;
-    std::vector<std::thread> threads;
-    std::atomic<int> mismatches{0};
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&shared, &queries, &baseline, &mismatches] {
-        for (int round = 0; round < 4; ++round) {
-          auto got = shared.QueryBatch(queries, 5);
-          if (!got.ok() ||
-              got.ValueOrDie().index != baseline.ValueOrDie().index ||
-              got.ValueOrDie().score != baseline.ValueOrDie().score) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
+  constexpr int kThreads = 6;
+  std::vector<std::thread> threads;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, &queries, &baseline, &mismatches] {
+      for (int round = 0; round < 4; ++round) {
+        auto got = shared.QueryBatch(queries, 5);
+        if (!got.ok() ||
+            got.ValueOrDie().index != baseline.ValueOrDie().index ||
+            got.ValueOrDie().score != baseline.ValueOrDie().score) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
         }
-      });
-    }
-    for (auto& th : threads) th.join();
-    EXPECT_EQ(mismatches.load(), 0)
-        << (backend == AnnBackend::kLsh ? "lsh" : "hnsw");
+      }
+    });
   }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ------------------------------------------------- shared alignment server

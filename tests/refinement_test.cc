@@ -18,7 +18,8 @@ TEST(AggregateAlignmentTest, MatchesManualSum) {
                          Matrix::Gaussian(5, 3, &rng)};
   std::vector<double> theta{0.3, 0.7};
   Matrix s = AggregateAlignment(hs, ht, theta);
-  Matrix expected = Scale(MatMulTransposedB(hs[0], ht[0]), 0.3);
+  Matrix expected = MatMulTransposedB(hs[0], ht[0]);
+  expected.Scale(0.3);
   expected.Axpy(0.7, MatMulTransposedB(hs[1], ht[1]));
   EXPECT_LT(Matrix::MaxAbsDiff(s, expected), 1e-12);
 }

@@ -178,10 +178,14 @@ TEST_F(ServeCliTest, TopKBeyondArtifactTargetRejectedTyped) {
 }
 
 TEST_F(ServeCliTest, UnknownFlagRejected) {
-  EXPECT_NE(Run("--mode=serve --artifact-dir=" + Dir("aidx") +
-                " --definitely-not-a-flag=1"),
-            0);
-  EXPECT_NE(CapturedOutput().find("unknown flag"), std::string::npos);
+  // --ann-backend is gone with the HNSW backend: it is now just unknown.
+  for (const char* flag : {"--definitely-not-a-flag=1", "--ann-backend=hnsw"}) {
+    EXPECT_EQ(Run("--mode=serve --artifact-dir=" + Dir("aidx") + " " + flag),
+              2)
+        << flag;
+    EXPECT_NE(CapturedOutput().find("unknown flag"), std::string::npos)
+        << flag;
+  }
 }
 
 }  // namespace

@@ -125,6 +125,30 @@ TEST_F(ServeTest, ParseRoundTripsBitExactly) {
   EXPECT_EQ(payload, b.Serialize());
 }
 
+TEST_F(ServeTest, ParseKeepsNonDefaultAnnConfig) {
+  // A loaded artifact must re-serialize to the recipe it was loaded from:
+  // with the default config restored instead, the recipe would name 16
+  // probes and fail its own fingerprint check on the next load.
+  Rng rng(13);
+  auto g = BarabasiAlbert(40, 3, &rng).MoveValueOrDie();
+  g = g.WithAttributes(BinaryAttributes(40, 8, 0.3, &rng)).MoveValueOrDie();
+  auto pair = MakeNoisyCopyPair(g, NoisyCopyOptions(), &rng).MoveValueOrDie();
+  GAlignConfig config;
+  config.epochs = 2;
+  config.embedding_dim = 8;
+  AlignmentIndexOptions options;
+  options.ann.seed = 7;
+  options.ann.lsh_probes = 48;
+  auto built = AlignmentIndex::Build(config, pair.source, pair.target, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::string payload = built.ValueOrDie()->Serialize();
+  auto back = AlignmentIndex::Parse(payload, "non-default ann");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.ValueOrDie()->ann_config().seed, 7u);
+  EXPECT_EQ(back.ValueOrDie()->ann_config().lsh_probes, 48);
+  EXPECT_EQ(back.ValueOrDie()->Serialize(), payload);
+}
+
 // The artifact writer as it was before the hex-run codec: one HexDouble per
 // value through an ostringstream. Serialize() must keep producing exactly
 // these bytes, so artifacts stay loadable across versions.
