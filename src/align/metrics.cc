@@ -19,26 +19,43 @@ std::string AlignmentMetrics::ToString() const {
 
 namespace {
 
-// Shared single-pass accumulation: per anchor row, the rank of the true
-// target determines every metric.
+// What the per-anchor fold sums: every metric is decided by the rank of the
+// true target, counted over the anchors that were scored.
 struct Accumulated {
-  double s1 = 0, s5 = 0, s10 = 0, mrr = 0, auc = 0;
+  double s1 = 0, s5 = 0, s10 = 0, sq = 0, mrr = 0, auc = 0;
   int64_t count = 0;
+
+  AlignmentMetrics Metrics() const {
+    AlignmentMetrics m;
+    m.num_anchors = count;
+    if (count == 0) return m;
+    const double n = static_cast<double>(count);
+    m.success_at_1 = s1 / n;
+    m.success_at_5 = s5 / n;
+    m.success_at_10 = s10 / n;
+    m.map = mrr / n;
+    m.auc = auc / n;
+    return m;
+  }
 };
 
-Accumulated Accumulate(const Matrix& s,
-                       const std::vector<int64_t>& ground_truth) {
+// The one per-anchor fold: ranks rank_of(v, t) for every anchor v -> t with
+// t a column and v one of the first `rows` rows (t == -1 is skipped);
+// `sq` counts the ranks within q.
+template <typename RankOf>
+Accumulated Fold(int64_t rows, int64_t cols,
+                 const std::vector<int64_t>& ground_truth,
+                 const RankOf& rank_of, int64_t q = 1) {
   Accumulated acc;
-  const double negatives = static_cast<double>(s.cols() - 1);
+  const double negatives = static_cast<double>(cols - 1);
   for (size_t v = 0; v < ground_truth.size(); ++v) {
-    int64_t t = ground_truth[v];
-    if (t < 0 || t >= s.cols() || static_cast<int64_t>(v) >= s.rows()) {
-      continue;
-    }
-    int64_t rank = RankInRow(s, static_cast<int64_t>(v), t);
+    const int64_t t = ground_truth[v];
+    if (t < 0 || t >= cols || static_cast<int64_t>(v) >= rows) continue;
+    const int64_t rank = rank_of(static_cast<int64_t>(v), t);
     if (rank <= 1) acc.s1 += 1;
     if (rank <= 5) acc.s5 += 1;
     if (rank <= 10) acc.s10 += 1;
+    if (rank <= q) acc.sq += 1;
     acc.mrr += 1.0 / static_cast<double>(rank);
     if (negatives > 0) {
       acc.auc += (negatives + 1.0 - static_cast<double>(rank)) / negatives;
@@ -50,80 +67,43 @@ Accumulated Accumulate(const Matrix& s,
   return acc;
 }
 
+Accumulated FoldDense(const Matrix& s, const std::vector<int64_t>& ground_truth,
+                      int64_t q = 1) {
+  return Fold(
+      s.rows(), s.cols(), ground_truth,
+      [&](int64_t v, int64_t t) { return RankInRow(s, v, t); }, q);
+}
+
 }  // namespace
 
 double SuccessAtQ(const Matrix& s, const std::vector<int64_t>& ground_truth,
                   int64_t q) {
-  int64_t hit = 0, total = 0;
-  for (size_t v = 0; v < ground_truth.size(); ++v) {
-    int64_t t = ground_truth[v];
-    if (t < 0 || t >= s.cols() || static_cast<int64_t>(v) >= s.rows()) {
-      continue;
-    }
-    ++total;
-    if (RankInRow(s, static_cast<int64_t>(v), t) <= q) ++hit;
-  }
-  return total == 0 ? 0.0 : static_cast<double>(hit) / total;
+  const Accumulated acc = FoldDense(s, ground_truth, q);
+  return acc.count == 0 ? 0.0 : acc.sq / static_cast<double>(acc.count);
 }
 
 double MeanAveragePrecision(const Matrix& s,
                             const std::vector<int64_t>& ground_truth) {
-  Accumulated acc = Accumulate(s, ground_truth);
-  return acc.count == 0 ? 0.0 : acc.mrr / acc.count;
+  return FoldDense(s, ground_truth).Metrics().map;
 }
 
 double Auc(const Matrix& s, const std::vector<int64_t>& ground_truth) {
-  Accumulated acc = Accumulate(s, ground_truth);
-  return acc.count == 0 ? 0.0 : acc.auc / acc.count;
+  return FoldDense(s, ground_truth).Metrics().auc;
 }
 
 AlignmentMetrics ComputeMetrics(const Matrix& s,
                                 const std::vector<int64_t>& ground_truth) {
-  Accumulated acc = Accumulate(s, ground_truth);
-  AlignmentMetrics m;
-  m.num_anchors = acc.count;
-  if (acc.count == 0) return m;
-  const double n = static_cast<double>(acc.count);
-  m.success_at_1 = acc.s1 / n;
-  m.success_at_5 = acc.s5 / n;
-  m.success_at_10 = acc.s10 / n;
-  m.map = acc.mrr / n;
-  m.auc = acc.auc / n;
-  return m;
+  return FoldDense(s, ground_truth).Metrics();
 }
 
 AlignmentMetrics ComputeMetricsTopK(const TopKAlignment& s,
                                     const std::vector<int64_t>& ground_truth) {
-  Accumulated acc;
-  const double negatives = static_cast<double>(s.cols - 1);
-  for (size_t v = 0; v < ground_truth.size(); ++v) {
-    int64_t t = ground_truth[v];
-    if (t < 0 || t >= s.cols || static_cast<int64_t>(v) >= s.rows_computed) {
-      continue;
-    }
-    int64_t rank = s.RankOf(static_cast<int64_t>(v), t);
-    if (rank < 0) rank = s.cols;  // outside top-k: score at the worst rank
-    if (rank <= 1) acc.s1 += 1;
-    if (rank <= 5) acc.s5 += 1;
-    if (rank <= 10) acc.s10 += 1;
-    acc.mrr += 1.0 / static_cast<double>(rank);
-    if (negatives > 0) {
-      acc.auc += (negatives + 1.0 - static_cast<double>(rank)) / negatives;
-    } else {
-      acc.auc += 1.0;
-    }
-    ++acc.count;
-  }
-  AlignmentMetrics m;
-  m.num_anchors = acc.count;
-  if (acc.count == 0) return m;
-  const double n = static_cast<double>(acc.count);
-  m.success_at_1 = acc.s1 / n;
-  m.success_at_5 = acc.s5 / n;
-  m.success_at_10 = acc.s10 / n;
-  m.map = acc.mrr / n;
-  m.auc = acc.auc / n;
-  return m;
+  return Fold(s.rows_computed, s.cols, ground_truth,
+              [&](int64_t v, int64_t t) {
+                const int64_t rank = s.RankOf(v, t);
+                return rank < 0 ? s.cols : rank;  // outside top-k: worst rank
+              })
+      .Metrics();
 }
 
 PrecisionRecall EvaluateThreshold(const Matrix& s,

@@ -22,6 +22,26 @@ inline double DegreeScore(double dv, double du) {
   return 1.0 - std::fabs(dv - du) / denom;
 }
 
+Status CheckAttributePair(const AttributedGraph& source,
+                          const AttributedGraph& target) {
+  if (source.num_nodes() == 0 || target.num_nodes() == 0) {
+    return Status::InvalidArgument("empty network");
+  }
+  if (source.num_attributes() != target.num_attributes()) {
+    return Status::InvalidArgument("attribute dimensions differ");
+  }
+  return Status::OK();
+}
+
+// Cosine over attribute rows is the inner product of row-normalized
+// attributes: a one-layer embedding, so the dense and top-k read-outs ride
+// the same blocked GEMM filler (and the ANN index above the threshold).
+std::vector<Matrix> UnitRowLayer(const Matrix& attributes) {
+  std::vector<Matrix> layer(1, attributes);
+  layer[0].NormalizeRows();
+  return layer;
+}
+
 // Exact sublinear DegreeRank retrieval: the score is monotone on both
 // sides of du == dv (non-increasing as du walks away from dv), so the
 // top-k of a row is contained in a contiguous band of the degree-sorted
@@ -206,22 +226,12 @@ Result<Matrix> AttributeOnlyAligner::Align(const AttributedGraph& source,
                                            const Supervision& supervision,
                                            const RunContext& ctx) {
   (void)supervision;
-  if (source.num_nodes() == 0 || target.num_nodes() == 0) {
-    return Status::InvalidArgument("empty network");
-  }
-  if (source.num_attributes() != target.num_attributes()) {
-    return Status::InvalidArgument("attribute dimensions differ");
-  }
+  GALIGN_RETURN_NOT_OK(CheckAttributePair(source, target));
   MemoryScope admission;
   GALIGN_RETURN_NOT_OK(
       ReserveAlignerBudget(*this, source, target, ctx, &admission));
-  Matrix s(source.num_nodes(), target.num_nodes());
-  for (int64_t v = 0; v < source.num_nodes(); ++v) {
-    for (int64_t u = 0; u < target.num_nodes(); ++u) {
-      s(v, u) = RowCosine(source.attributes(), v, target.attributes(), u);
-    }
-  }
-  return s;
+  return AggregateAlignment(UnitRowLayer(source.attributes()),
+                            UnitRowLayer(target.attributes()), {1.0});
 }
 
 uint64_t AttributeOnlyAligner::EstimatePeakBytes(int64_t n_source,
@@ -235,32 +245,16 @@ Result<TopKAlignment> AttributeOnlyAligner::AlignTopK(
     const AttributedGraph& source, const AttributedGraph& target,
     const Supervision& supervision, const RunContext& ctx, int64_t k) {
   (void)supervision;
-  if (source.num_nodes() == 0 || target.num_nodes() == 0) {
-    return Status::InvalidArgument("empty network");
-  }
-  if (source.num_attributes() != target.num_attributes()) {
-    return Status::InvalidArgument("attribute dimensions differ");
-  }
-  const int64_t n1 = source.num_nodes();
-  const int64_t n2 = target.num_nodes();
-  // Cosine over rows is an inner product of row-normalized attributes, so
-  // both routes ride the blocked GEMM kernels: exact via the chunked
-  // embedding scan (replacing the old scalar RowCosine loops), approximate
-  // via the ANN index above the policy threshold.
+  GALIGN_RETURN_NOT_OK(CheckAttributePair(source, target));
   const int64_t d = source.num_attributes();
   MemoryScope norm_scope;
   GALIGN_RETURN_NOT_OK(MemoryScope::Reserve(
-      ctx.budget(), DenseBytes(n1, d) + DenseBytes(n2, d),
+      ctx.budget(),
+      DenseBytes(source.num_nodes(), d) + DenseBytes(target.num_nodes(), d),
       "attribute normalization", &norm_scope));
-  std::vector<Matrix> hs, ht;
-  hs.push_back(source.attributes());
-  ht.push_back(target.attributes());
-  hs[0].NormalizeRows();
-  ht[0].NormalizeRows();
-  if (ShouldUseAnn(ann_policy_, n1, n2)) {
-    return AnnEmbeddingTopK(hs, ht, {1.0}, k, ann_policy_, ctx);
-  }
-  return ChunkedEmbeddingTopK(hs, ht, {1.0}, k, ctx);
+  return EmbeddingTopK(UnitRowLayer(source.attributes()),
+                       UnitRowLayer(target.attributes()), {1.0}, k,
+                       ann_policy_, ctx);
 }
 
 Result<Matrix> RandomAligner::Align(const AttributedGraph& source,

@@ -84,10 +84,7 @@ Result<TopKAlignment> RegalAligner::AlignTopK(const AttributedGraph& source,
   ht.push_back(y.Block(n1, 0, n2, y.cols()));
   // Rows are unit-normalized, so the single-layer inner product is cosine —
   // exactly the metric the ANN backends index.
-  if (ShouldUseAnn(ann_policy_, n1, n2)) {
-    return AnnEmbeddingTopK(hs, ht, {1.0}, k, ann_policy_, ctx);
-  }
-  return ChunkedEmbeddingTopK(hs, ht, {1.0}, k, ctx);
+  return EmbeddingTopK(hs, ht, {1.0}, k, ann_policy_, ctx);
 }
 
 }  // namespace galign

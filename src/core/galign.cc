@@ -6,15 +6,15 @@
 #include "core/refinement.h"
 #include "graph/ann/ann.h"
 #include "la/ops.h"
-#include "core/trainer.h"
 
 namespace galign {
 
-Result<Matrix> GAlignAligner::Align(const AttributedGraph& source,
-                                    const AttributedGraph& target,
-                                    const Supervision& supervision,
-                                    const RunContext& ctx) {
-  GALIGN_RETURN_NOT_OK(config_.Validate());
+namespace {
+
+// Input checks Align and AlignTopK share; they run before any admission.
+Status CheckPair(const GAlignConfig& config, const AttributedGraph& source,
+                 const AttributedGraph& target) {
+  GALIGN_RETURN_NOT_OK(config.Validate());
   if (source.num_nodes() == 0 || target.num_nodes() == 0) {
     return Status::InvalidArgument("empty network");
   }
@@ -22,43 +22,76 @@ Result<Matrix> GAlignAligner::Align(const AttributedGraph& source,
     return Status::InvalidArgument(
         "GAlign requires equal attribute dimensionality");
   }
-  MemoryScope admission;
-  GALIGN_RETURN_NOT_OK(
-      ReserveAlignerBudget(*this, source, target, ctx, &admission));
+  return Status::OK();
+}
 
-  Rng rng(config_.seed);
-  MultiOrderGcn gcn(config_.num_layers, source.num_attributes(),
-                    config_.embedding_dim, &rng);
+}  // namespace
 
-  Trainer trainer(config_);
+Result<TrainedEmbeddings> TrainAndEmbed(
+    const GAlignConfig& config, const AttributedGraph& source,
+    const AttributedGraph& target,
+    const std::vector<std::pair<int64_t, int64_t>>& seeds,
+    const RunContext& ctx, bool refine, const AnnPolicy* ann) {
+  TrainedEmbeddings out;
+  Rng rng(config.seed);
+  out.gcn = std::make_unique<MultiOrderGcn>(
+      config.num_layers, source.num_attributes(), config.embedding_dim, &rng);
+  Trainer trainer(config);
   // The paper's model is fully unsupervised and ignores supervision; seeds
   // only enter training when the semi-supervised extension is enabled
   // (seed_loss_weight > 0).
-  const auto& seeds = config_.seed_loss_weight > 0.0
-                          ? supervision.seeds
-                          : std::vector<std::pair<int64_t, int64_t>>{};
-  GALIGN_RETURN_NOT_OK(trainer.Train(&gcn, source, target, &rng, seeds, ctx));
-  last_loss_history_ = trainer.loss_history();
-  last_train_report_ = trainer.report();
-  last_refinement_scores_.clear();
+  GALIGN_RETURN_NOT_OK(trainer.Train(
+      out.gcn.get(), source, target, &rng,
+      config.seed_loss_weight > 0.0
+          ? seeds
+          : std::vector<std::pair<int64_t, int64_t>>{},
+      ctx));
+  out.loss_history = trainer.loss_history();
+  out.train_report = trainer.report();
 
-  if (config_.use_refinement) {
-    auto refined = RefineAlignment(gcn, source, target, config_, ctx);
-    if (!refined.ok()) return refined.status();
-    last_refinement_scores_ = refined.ValueOrDie().score_history;
-    return std::move(refined.ValueOrDie().alignment);
+  if (refine) {
+    auto refined = RefineAlignment(*out.gcn, source, target, config, ctx,
+                                   /*materialize=*/false, ann);
+    GALIGN_RETURN_NOT_OK(refined.status());
+    RefinementResult& r = refined.ValueOrDie();
+    out.refinement_scores = std::move(r.score_history);
+    out.source_layers = std::move(r.source_embeddings);
+    out.target_layers = std::move(r.target_embeddings);
+    return out;
   }
-
-  // GAlign-2 path: aggregate the trained embeddings directly (Eq. 12).
   auto lap_s = source.NormalizedAdjacency();
   GALIGN_RETURN_NOT_OK(lap_s.status());
   auto lap_t = target.NormalizedAdjacency();
   GALIGN_RETURN_NOT_OK(lap_t.status());
-  std::vector<Matrix> hs =
-      gcn.ForwardInference(lap_s.ValueOrDie(), source.attributes());
-  std::vector<Matrix> ht =
-      gcn.ForwardInference(lap_t.ValueOrDie(), target.attributes());
-  return AggregateAlignment(hs, ht, config_.EffectiveLayerWeights());
+  out.source_layers =
+      out.gcn->ForwardInference(lap_s.ValueOrDie(), source.attributes());
+  out.target_layers =
+      out.gcn->ForwardInference(lap_t.ValueOrDie(), target.attributes());
+  return out;
+}
+
+void GAlignAligner::Remember(const TrainedEmbeddings& trained) {
+  last_loss_history_ = trained.loss_history;
+  last_train_report_ = trained.train_report;
+  last_refinement_scores_ = trained.refinement_scores;
+}
+
+Result<Matrix> GAlignAligner::Align(const AttributedGraph& source,
+                                    const AttributedGraph& target,
+                                    const Supervision& supervision,
+                                    const RunContext& ctx) {
+  GALIGN_RETURN_NOT_OK(CheckPair(config_, source, target));
+  MemoryScope admission;
+  GALIGN_RETURN_NOT_OK(
+      ReserveAlignerBudget(*this, source, target, ctx, &admission));
+  auto trained = TrainAndEmbed(config_, source, target, supervision.seeds,
+                               ctx, config_.use_refinement);
+  GALIGN_RETURN_NOT_OK(trained.status());
+  Remember(trained.ValueOrDie());
+  // Eq. 12 over the refined (or, for GAlign-2, the trained) embeddings.
+  return AggregateAlignment(trained.ValueOrDie().source_layers,
+                            trained.ValueOrDie().target_layers,
+                            config_.EffectiveLayerWeights());
 }
 
 uint64_t GAlignAligner::EstimateTrainBytes(int64_t n_source, int64_t n_target,
@@ -70,12 +103,14 @@ uint64_t GAlignAligner::EstimateTrainBytes(int64_t n_source, int64_t n_target,
                           static_cast<uint64_t>(layers);
   // Each training step embeds every (possibly augmented) view with forward
   // activations, gradients, and Adam moments alive together; refinement
-  // keeps current + best embedding sets plus two scan chunks.
+  // keeps current + best embedding sets plus the stability scan's two
+  // block buffers (the block of S and its layer scratch).
   const uint64_t views =
       config_.use_augmentation
           ? static_cast<uint64_t>(1 + config_.num_augmentations)
           : 1;
-  return 4 * views * embeds + 4 * embeds + 2 * DenseBytes(512, n_target);
+  return 4 * views * embeds + 4 * embeds +
+         2 * DenseBytes(kScanBlockRows, n_target);
 }
 
 uint64_t GAlignAligner::EstimatePeakBytes(int64_t n_source, int64_t n_target,
@@ -89,14 +124,7 @@ Result<TopKAlignment> GAlignAligner::AlignTopK(const AttributedGraph& source,
                                                const Supervision& supervision,
                                                const RunContext& ctx,
                                                int64_t k) {
-  GALIGN_RETURN_NOT_OK(config_.Validate());
-  if (source.num_nodes() == 0 || target.num_nodes() == 0) {
-    return Status::InvalidArgument("empty network");
-  }
-  if (source.num_attributes() != target.num_attributes()) {
-    return Status::InvalidArgument(
-        "GAlign requires equal attribute dimensionality");
-  }
+  GALIGN_RETURN_NOT_OK(CheckPair(config_, source, target));
   // Admit only the training/refinement working set — this path never
   // materializes the n1 x n2 aggregation the dense estimate includes.
   MemoryScope train_scope;
@@ -107,36 +135,12 @@ Result<TopKAlignment> GAlignAligner::AlignTopK(const AttributedGraph& source,
                            source.num_attributes()),
         name_ + " training admission", &train_scope));
   }
-
-  Rng rng(config_.seed);
-  MultiOrderGcn gcn(config_.num_layers, source.num_attributes(),
-                    config_.embedding_dim, &rng);
-  Trainer trainer(config_);
-  const auto& seeds = config_.seed_loss_weight > 0.0
-                          ? supervision.seeds
-                          : std::vector<std::pair<int64_t, int64_t>>{};
-  GALIGN_RETURN_NOT_OK(trainer.Train(&gcn, source, target, &rng, seeds, ctx));
-  last_loss_history_ = trainer.loss_history();
-  last_train_report_ = trainer.report();
-  last_refinement_scores_.clear();
-
-  const std::vector<double> theta = config_.EffectiveLayerWeights();
-  std::vector<Matrix> hs, ht;
-  if (config_.use_refinement) {
-    auto refined = RefineAlignment(gcn, source, target, config_, ctx,
-                                   /*materialize=*/false, &ann_policy_);
-    if (!refined.ok()) return refined.status();
-    last_refinement_scores_ = refined.ValueOrDie().score_history;
-    hs = std::move(refined.ValueOrDie().source_embeddings);
-    ht = std::move(refined.ValueOrDie().target_embeddings);
-  } else {
-    auto lap_s = source.NormalizedAdjacency();
-    GALIGN_RETURN_NOT_OK(lap_s.status());
-    auto lap_t = target.NormalizedAdjacency();
-    GALIGN_RETURN_NOT_OK(lap_t.status());
-    hs = gcn.ForwardInference(lap_s.ValueOrDie(), source.attributes());
-    ht = gcn.ForwardInference(lap_t.ValueOrDie(), target.attributes());
-  }
+  auto trained = TrainAndEmbed(config_, source, target, supervision.seeds,
+                               ctx, config_.use_refinement, &ann_policy_);
+  GALIGN_RETURN_NOT_OK(trained.status());
+  Remember(trained.ValueOrDie());
+  const std::vector<Matrix>& hs = trained.ValueOrDie().source_layers;
+  const std::vector<Matrix>& ht = trained.ValueOrDie().target_layers;
 
   // Training transients are gone; re-reserve only the surviving embeddings
   // so the chunked scan sizes its block from the true remaining headroom.
@@ -149,35 +153,19 @@ Result<TopKAlignment> GAlignAligner::AlignTopK(const AttributedGraph& source,
     GALIGN_RETURN_NOT_OK(MemoryScope::Reserve(
         ctx.budget(), live, name_ + " refined embeddings", &embed_scope));
   }
-  if (ShouldUseAnn(ann_policy_, source.num_nodes(), target.num_nodes())) {
-    return AnnEmbeddingTopK(hs, ht, theta, k, ann_policy_, ctx);
-  }
-  return ChunkedEmbeddingTopK(hs, ht, theta, k, ctx);
+  return EmbeddingTopK(hs, ht, config_.EffectiveLayerWeights(), k,
+                       ann_policy_, ctx);
 }
 
 Result<MultiOrderEmbeddings> EmbedNetworks(const GAlignConfig& config,
                                            const AttributedGraph& source,
                                            const AttributedGraph& target) {
-  if (source.num_attributes() != target.num_attributes()) {
-    return Status::InvalidArgument(
-        "EmbedNetworks requires equal attribute dimensionality");
-  }
-  Rng rng(config.seed);
-  MultiOrderGcn gcn(config.num_layers, source.num_attributes(),
-                    config.embedding_dim, &rng);
-  Trainer trainer(config);
-  GALIGN_RETURN_NOT_OK(trainer.Train(&gcn, source, target, &rng));
-
-  auto lap_s = source.NormalizedAdjacency();
-  GALIGN_RETURN_NOT_OK(lap_s.status());
-  auto lap_t = target.NormalizedAdjacency();
-  GALIGN_RETURN_NOT_OK(lap_t.status());
-
+  auto trained = TrainAndEmbed(config, source, target, /*seeds=*/{},
+                               RunContext(), /*refine=*/false);
+  GALIGN_RETURN_NOT_OK(trained.status());
   MultiOrderEmbeddings out;
-  out.source_layers =
-      gcn.ForwardInference(lap_s.ValueOrDie(), source.attributes());
-  out.target_layers =
-      gcn.ForwardInference(lap_t.ValueOrDie(), target.attributes());
+  out.source_layers = std::move(trained.ValueOrDie().source_layers);
+  out.target_layers = std::move(trained.ValueOrDie().target_layers);
   std::vector<const Matrix*> ps, pt;
   for (const Matrix& h : out.source_layers) ps.push_back(&h);
   for (const Matrix& h : out.target_layers) pt.push_back(&h);

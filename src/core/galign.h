@@ -2,10 +2,16 @@
 // unsupervised pipeline — multi-order GCN training with augmentation
 // (Alg. 1) followed by alignment instantiation and stability refinement
 // (Alg. 2). The ablation variants of Table IV are configuration presets.
+//
+// Align, AlignTopK, EmbedNetworks and AlignmentIndex::Build share one
+// train-and-embed step (TrainAndEmbed) and keep only their admission and
+// read-out: dense aggregation, routed top-k, concatenation, or artifact.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "align/alignment.h"
 #include "core/config.h"
@@ -13,6 +19,31 @@
 #include "core/trainer.h"
 
 namespace galign {
+
+/// \brief A trained GCN and the multi-order embeddings read out of it.
+struct TrainedEmbeddings {
+  std::unique_ptr<MultiOrderGcn> gcn;
+  /// H^(0)..H^(k) of each network: the best refinement iterate when
+  /// refinement ran, the plain forward pass otherwise.
+  std::vector<Matrix> source_layers;
+  std::vector<Matrix> target_layers;
+  std::vector<double> loss_history;      ///< per-epoch training loss
+  TrainReport train_report;              ///< training health record
+  std::vector<double> refinement_scores; ///< g(S) per iteration, if refined
+};
+
+/// \brief The one train-and-embed step (Alg. 1, then Alg. 2 or a forward).
+///
+/// Seeds an Rng with config.seed, draws the GCN's weights from it and
+/// trains them under `ctx` (seeds enter only when
+/// config.seed_loss_weight > 0). Then, with `refine`, runs RefineAlignment
+/// without materializing S (`ann` routes its stability scans); otherwise a
+/// plain ForwardInference of both networks.
+[[nodiscard]] Result<TrainedEmbeddings> TrainAndEmbed(
+    const GAlignConfig& config, const AttributedGraph& source,
+    const AttributedGraph& target,
+    const std::vector<std::pair<int64_t, int64_t>>& seeds,
+    const RunContext& ctx, bool refine, const AnnPolicy* ann = nullptr);
 
 /// \brief GAlign: adaptive, fully unsupervised network alignment.
 ///
@@ -42,9 +73,9 @@ class GAlignAligner : public Aligner {
                              int64_t dims) const override;
 
   /// Budget-degraded run (DESIGN.md §9): trains and refines exactly as
-  /// Align() — ScanStability is already row-chunked — then ranks the
-  /// refined embeddings through ChunkedEmbeddingTopK instead of
-  /// materializing the n1 x n2 aggregation.
+  /// Align(), then ranks the refined embeddings through EmbeddingTopK
+  /// instead of materializing the n1 x n2 aggregation. Below the ANN
+  /// threshold the result equals TopKFromDense(Align(...), k) bit for bit.
   [[nodiscard]] Result<TopKAlignment> AlignTopK(const AttributedGraph& source,
                                   const AttributedGraph& target,
                                   const Supervision& supervision,
@@ -75,6 +106,8 @@ class GAlignAligner : public Aligner {
   /// chunked AlignTopK path keeps from EstimatePeakBytes).
   uint64_t EstimateTrainBytes(int64_t n_source, int64_t n_target,
                               int64_t dims) const;
+  /// Keeps the loss, health and g(S) records of a finished run.
+  void Remember(const TrainedEmbeddings& trained);
 
   GAlignConfig config_;
   std::string name_;

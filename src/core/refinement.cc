@@ -4,75 +4,32 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "graph/ann/ann.h"
-#include "la/ops.h"
+#include "graph/similarity_chunked.h"
 
 namespace galign {
 
-Matrix AggregateAlignment(const std::vector<Matrix>& hs,
-                          const std::vector<Matrix>& ht,
-                          const std::vector<double>& theta) {
-  GALIGN_DCHECK(hs.size() == ht.size());
-  GALIGN_DCHECK(hs.size() == theta.size());
-  const int64_t n1 = hs[0].rows();
-  const int64_t n2 = ht[0].rows();
-  Matrix s(n1, n2);
-  for (size_t l = 0; l < hs.size(); ++l) {
-    if (theta[l] == 0.0) continue;
-    s.Axpy(theta[l], MatMulTransposedB(hs[l], ht[l]));
-  }
-  return s;
-}
+namespace {
 
-StabilityScan ScanStability(const std::vector<Matrix>& hs,
-                            const std::vector<Matrix>& ht,
-                            const std::vector<double>& theta, double lambda) {
-  GALIGN_DCHECK(hs.size() == ht.size() && hs.size() == theta.size());
-  const size_t layers = hs.size();
-  const int64_t n1 = hs[0].rows();
-  const int64_t n2 = ht[0].rows();
+// Per-layer argmax record of Eq. 13: every source row's best target and
+// every target column's best source, layer by layer. Strict `>` keeps the
+// first maximum, so observing pairs in ascending ids breaks ties toward
+// the lower id.
+struct LayerArgmax {
+  LayerArgmax(size_t layers, int64_t n1, int64_t n2)
+      : row_arg(layers, std::vector<int64_t>(n1, -1)),
+        row_max(layers, std::vector<double>(n1, -1e300)),
+        col_arg(layers, std::vector<int64_t>(n2, -1)),
+        col_max(layers, std::vector<double>(n2, -1e300)) {}
 
-  // Per-layer row statistics and per-layer column statistics.
-  std::vector<std::vector<int64_t>> row_arg(layers,
-                                            std::vector<int64_t>(n1, -1));
-  std::vector<std::vector<double>> row_max(
-      layers, std::vector<double>(n1, -1e300));
-  std::vector<std::vector<int64_t>> col_arg(layers,
-                                            std::vector<int64_t>(n2, -1));
-  std::vector<std::vector<double>> col_max(
-      layers, std::vector<double>(n2, -1e300));
-  std::vector<double> agg_row_max(n1, -1e300);
-
-  const int64_t chunk = std::max<int64_t>(1, std::min<int64_t>(n1, 512));
-  // Column maxima are shared across chunks; guard them by processing chunks
-  // serially while parallelizing the inner GEMMs (MatMulTransposedB already
-  // fans out across the pool).
-  for (int64_t r0 = 0; r0 < n1; r0 += chunk) {
-    const int64_t r1 = std::min(n1, r0 + chunk);
-    const int64_t rows = r1 - r0;
-    Matrix agg(rows, n2);
-    for (size_t l = 0; l < layers; ++l) {
-      Matrix block = MatMulTransposedB(hs[l].Block(r0, 0, rows, hs[l].cols()),
-                                       ht[l]);
-      for (int64_t i = 0; i < rows; ++i) {
-        const double* p = block.row_data(i);
-        const int64_t v = r0 + i;
-        for (int64_t j = 0; j < n2; ++j) {
-          if (p[j] > row_max[l][v]) {
-            row_max[l][v] = p[j];
-            row_arg[l][v] = j;
-          }
-          if (p[j] > col_max[l][j]) {
-            col_max[l][j] = p[j];
-            col_arg[l][j] = v;
-          }
-        }
-      }
-      if (theta[l] != 0.0) agg.Axpy(theta[l], block);
+  void Observe(size_t l, int64_t v, int64_t u, double s) {
+    if (s > row_max[l][v]) {
+      row_max[l][v] = s;
+      row_arg[l][v] = u;
     }
-    for (int64_t i = 0; i < rows; ++i) {
-      agg_row_max[r0 + i] = MaxRow(agg, i);
+    if (s > col_max[l][u]) {
+      col_max[l][u] = s;
+      col_arg[l][u] = v;
     }
   }
 
@@ -80,24 +37,57 @@ StabilityScan ScanStability(const std::vector<Matrix>& hs,
   // attribute layer H^(0) is excluded from the argmax-consistency check:
   // with low-dimensional categorical attributes many nodes share identical
   // attribute rows, making the layer-0 argmax a tie-break lottery that
-  // would mark every node unstable.
-  const size_t first = layers > 1 ? 1 : 0;
+  // would mark every node unstable. A node never observed is not stable.
+  void StableSets(double lambda, StabilityScan* out) const {
+    const size_t first = row_arg.size() > 1 ? 1 : 0;
+    auto collect = [&](const std::vector<std::vector<int64_t>>& arg,
+                       const std::vector<std::vector<double>>& max,
+                       std::vector<int64_t>* stable) {
+      for (size_t x = 0; x < arg[first].size(); ++x) {
+        bool ok = arg[first][x] >= 0;
+        for (size_t l = first; l < arg.size() && ok; ++l) {
+          ok = arg[l][x] == arg[first][x] && max[l][x] > lambda;
+        }
+        if (ok) stable->push_back(static_cast<int64_t>(x));
+      }
+    };
+    collect(row_arg, row_max, &out->stable_source);
+    collect(col_arg, col_max, &out->stable_target);
+  }
+
+  std::vector<std::vector<int64_t>> row_arg;
+  std::vector<std::vector<double>> row_max;
+  std::vector<std::vector<int64_t>> col_arg;
+  std::vector<std::vector<double>> col_max;
+};
+
+}  // namespace
+
+StabilityScan ScanStability(const std::vector<Matrix>& hs,
+                            const std::vector<Matrix>& ht,
+                            const std::vector<double>& theta, double lambda) {
+  GALIGN_DCHECK(hs.size() == ht.size() && hs.size() == theta.size());
+  const int64_t n1 = hs[0].rows();
+  const int64_t n2 = ht[0].rows();
+  LayerArgmax argmax(hs.size(), n1, n2);
+  auto observe = [&](size_t l, int64_t r0, const Matrix& block) {
+    for (int64_t i = 0; i < block.rows(); ++i) {
+      const double* p = block.row_data(i);
+      for (int64_t u = 0; u < n2; ++u) argmax.Observe(l, r0 + i, u, p[u]);
+    }
+  };
+  // Blocks run serially (the GEMMs inside fan out across the pool), which
+  // is what lets the column maxima be shared across blocks.
+  const TopKAlignment top1 =
+      ChunkedTopK(n1, n2, /*k=*/1, kScanBlockRows,
+                  MultiOrderBlockFiller(hs, ht, theta, observe))
+          .MoveValueOrDie();
+
   StabilityScan out;
-  for (int64_t v = 0; v < n1; ++v) {
-    bool stable = true;
-    for (size_t l = first; l < layers && stable; ++l) {
-      stable = row_arg[l][v] == row_arg[first][v] && row_max[l][v] > lambda;
-    }
-    if (stable) out.stable_source.push_back(v);
+  argmax.StableSets(lambda, &out);
+  if (top1.k == 1) {
+    for (int64_t v = 0; v < n1; ++v) out.aggregate_score += top1.score[v];
   }
-  for (int64_t u = 0; u < n2; ++u) {
-    bool stable = true;
-    for (size_t l = first; l < layers && stable; ++l) {
-      stable = col_arg[l][u] == col_arg[first][u] && col_max[l][u] > lambda;
-    }
-    if (stable) out.stable_target.push_back(u);
-  }
-  for (int64_t v = 0; v < n1; ++v) out.aggregate_score += agg_row_max[v];
   return out;
 }
 
@@ -109,7 +99,6 @@ Result<StabilityScan> ScanStabilityCandidates(const std::vector<Matrix>& hs,
                                               const RunContext& ctx) {
   GALIGN_DCHECK(hs.size() == ht.size() && hs.size() == theta.size());
   const size_t layers = hs.size();
-  const int64_t n1 = hs[0].rows();
   const int64_t n2 = ht[0].rows();
   const int64_t kc =
       std::max<int64_t>(1, std::min(policy.refine_candidates, n2));
@@ -118,15 +107,7 @@ Result<StabilityScan> ScanStabilityCandidates(const std::vector<Matrix>& hs,
   GALIGN_RETURN_NOT_OK(cand.status());
   const TopKAlignment& topk = cand.ValueOrDie();
 
-  std::vector<std::vector<int64_t>> row_arg(layers,
-                                            std::vector<int64_t>(n1, -1));
-  std::vector<std::vector<double>> row_max(
-      layers, std::vector<double>(n1, -1e300));
-  std::vector<std::vector<int64_t>> col_arg(layers,
-                                            std::vector<int64_t>(n2, -1));
-  std::vector<std::vector<double>> col_max(
-      layers, std::vector<double>(n2, -1e300));
-
+  LayerArgmax argmax(layers, hs[0].rows(), n2);
   StabilityScan out;
   std::vector<int64_t> cands;
   cands.reserve(static_cast<size_t>(topk.k));
@@ -136,11 +117,10 @@ Result<StabilityScan> ScanStabilityCandidates(const std::vector<Matrix>& hs,
       const int64_t u = topk.index[v * topk.k + j];
       if (u >= 0) cands.push_back(u);
     }
-    // Ascending ids so the strict `>` updates below break ties exactly
-    // like the exact scan (first maximum wins).
+    // Ascending ids so the argmax record breaks ties exactly like the
+    // exact scan (first maximum wins).
     std::sort(cands.begin(), cands.end());
     double agg_max = -1e300;
-    bool any = false;
     for (const int64_t u : cands) {
       double agg = 0.0;
       for (size_t l = 0; l < layers; ++l) {
@@ -148,39 +128,14 @@ Result<StabilityScan> ScanStabilityCandidates(const std::vector<Matrix>& hs,
         const double* a = hs[l].row_data(v);
         const double* b = ht[l].row_data(u);
         for (int64_t c = 0; c < hs[l].cols(); ++c) s += a[c] * b[c];
-        if (s > row_max[l][v]) {
-          row_max[l][v] = s;
-          row_arg[l][v] = u;
-        }
-        if (s > col_max[l][u]) {
-          col_max[l][u] = s;
-          col_arg[l][u] = v;
-        }
+        argmax.Observe(l, v, u, s);
         if (theta[l] != 0.0) agg += theta[l] * s;
       }
       if (agg > agg_max) agg_max = agg;
-      any = true;
     }
-    if (any) out.aggregate_score += agg_max;
+    if (!cands.empty()) out.aggregate_score += agg_max;
   }
-
-  const size_t first = layers > 1 ? 1 : 0;
-  for (int64_t v = 0; v < n1; ++v) {
-    if (row_arg[first][v] < 0) continue;  // no candidates retrieved
-    bool stable = true;
-    for (size_t l = first; l < layers && stable; ++l) {
-      stable = row_arg[l][v] == row_arg[first][v] && row_max[l][v] > lambda;
-    }
-    if (stable) out.stable_source.push_back(v);
-  }
-  for (int64_t u = 0; u < n2; ++u) {
-    if (col_arg[first][u] < 0) continue;  // never retrieved as a candidate
-    bool stable = true;
-    for (size_t l = first; l < layers && stable; ++l) {
-      stable = col_arg[l][u] == col_arg[first][u] && col_max[l][u] > lambda;
-    }
-    if (stable) out.stable_target.push_back(u);
-  }
+  argmax.StableSets(lambda, &out);
   return out;
 }
 

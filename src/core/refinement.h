@@ -6,8 +6,9 @@
 // (Eq. 14) inside the propagation matrix (Eq. 15), re-embeds, and keeps the
 // candidate with the best greedy score g(S) = sum_v max_u S(v, u).
 //
-// The scan over S^(l) is chunked over source rows so no layer-wise n1 x n2
-// matrix is materialized (the paper's O(n) space argument, §VI-C).
+// AggregateAlignment and ScanStability read S out through one row-block
+// filler (graph/similarity_chunked), so refinement never materializes a
+// layer-wise n1 x n2 matrix (the paper's O(n) space argument, §VI-C).
 #pragma once
 
 #include <vector>
@@ -19,15 +20,10 @@
 #include "core/gcn.h"
 #include "graph/ann/ann_index.h"
 #include "graph/graph.h"
+#include "graph/similarity_chunked.h"
 #include "la/matrix.h"
 
 namespace galign {
-
-/// Aggregated alignment matrix S = sum_l theta_l H_s^(l) H_t^(l)T (Eq. 12).
-/// hs/ht hold k+1 layer embeddings; theta must have k+1 entries.
-Matrix AggregateAlignment(const std::vector<Matrix>& hs,
-                          const std::vector<Matrix>& ht,
-                          const std::vector<double>& theta);
 
 /// Result of one streaming pass over all layer-wise alignment matrices.
 struct StabilityScan {
@@ -40,8 +36,11 @@ struct StabilityScan {
   double aggregate_score = 0.0;
 };
 
-/// Single chunked pass computing stable nodes and g(S) without storing any
-/// n1 x n2 matrix.
+/// Single row-blocked pass computing stable nodes and g(S) without storing
+/// any n1 x n2 matrix: ChunkedTopK(k = 1) over MultiOrderBlockFiller, whose
+/// layer visitor feeds the Eq. 13 statistics. g(S) is the sum of the top-1
+/// scores, bit-equal to summing the row maxima of AggregateAlignment. Runs
+/// to completion: a scan cut short would mark the wrong nodes stable.
 StabilityScan ScanStability(const std::vector<Matrix>& hs,
                             const std::vector<Matrix>& ht,
                             const std::vector<double>& theta, double lambda);
@@ -90,7 +89,8 @@ struct RefinementResult {
 /// down early and returns the best iterate found so far (report.degraded).
 ///
 /// The refinement loop itself never holds an n1 x n2 matrix (ScanStability
-/// streams in row chunks); the only dense materialization is the final
+/// streams in row blocks) and polls `ctx` once per iteration, between
+/// scans; the only dense materialization is the final
 /// aggregation, skipped when `materialize` is false (DESIGN.md §9's
 /// budget-degraded path, which consumes the embeddings instead).
 ///

@@ -77,22 +77,7 @@ Result<TopKAlignment> AnnEmbeddingTopK(const std::vector<Matrix>& hs,
                                        const std::vector<double>& theta,
                                        int64_t k, const AnnPolicy& policy,
                                        const RunContext& ctx) {
-  if (hs.size() != ht.size() || hs.size() != theta.size()) {
-    return Status::InvalidArgument("AnnEmbeddingTopK: layer count mismatch");
-  }
-  if (hs.empty()) {
-    return Status::InvalidArgument("AnnEmbeddingTopK: no layers");
-  }
-  const int64_t n1 = hs[0].rows();
-  const int64_t n2 = ht[0].rows();
-  for (size_t l = 0; l < hs.size(); ++l) {
-    if (hs[l].rows() != n1 || ht[l].rows() != n2 ||
-        hs[l].cols() != ht[l].cols()) {
-      return Status::InvalidArgument(
-          "AnnEmbeddingTopK: inconsistent embedding shapes at layer " +
-          std::to_string(l));
-    }
-  }
+  GALIGN_RETURN_NOT_OK(CheckLayerStack(hs, ht, theta, "AnnEmbeddingTopK"));
   if (k <= 0) {
     return Status::InvalidArgument("AnnEmbeddingTopK: k must be > 0");
   }
@@ -106,6 +91,18 @@ Result<TopKAlignment> AnnEmbeddingTopK(const std::vector<Matrix>& hs,
       BuildAnnIndex(base.MoveValueOrDie(), EffortScaledConfig(policy), ctx);
   GALIGN_RETURN_NOT_OK(index.status());
   return index.ValueOrDie()->QueryBatch(queries.ValueOrDie(), k, ctx);
+}
+
+Result<TopKAlignment> EmbeddingTopK(const std::vector<Matrix>& hs,
+                                    const std::vector<Matrix>& ht,
+                                    const std::vector<double>& theta,
+                                    int64_t k, const AnnPolicy& policy,
+                                    const RunContext& ctx) {
+  if (!hs.empty() && !ht.empty() &&
+      ShouldUseAnn(policy, hs[0].rows(), ht[0].rows())) {
+    return AnnEmbeddingTopK(hs, ht, theta, k, policy, ctx);
+  }
+  return ChunkedEmbeddingTopK(hs, ht, theta, k, ctx);
 }
 
 }  // namespace galign

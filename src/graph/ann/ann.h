@@ -52,4 +52,11 @@ AnnConfig EffortScaledConfig(const AnnPolicy& policy);
     const std::vector<double>& theta, int64_t k, const AnnPolicy& policy,
     const RunContext& ctx);
 
+/// The one exact-or-approximate top-k router (DESIGN.md §11): ShouldUseAnn
+/// on hs/ht's row counts ? AnnEmbeddingTopK : ChunkedEmbeddingTopK.
+[[nodiscard]] Result<TopKAlignment> EmbeddingTopK(
+    const std::vector<Matrix>& hs, const std::vector<Matrix>& ht,
+    const std::vector<double>& theta, int64_t k, const AnnPolicy& policy,
+    const RunContext& ctx);
+
 }  // namespace galign

@@ -15,19 +15,6 @@ namespace {
 
 constexpr double kNoScore = -std::numeric_limits<double>::infinity();
 
-// Cache-friendly block height when no budget constrains the scan (matches
-// the chunking ScanStability already uses).
-constexpr int64_t kDefaultBlockRows = 512;
-
-// Selects the top-k of `row` (length cols) into the output slots. Routed
-// through the canonical TopKSelect so the chunked scan, TopKRow, and the
-// ANN re-ranking kernels share one tie-breaking contract (lowest index
-// wins) regardless of block size or thread count.
-void SelectTopK(const double* row, int64_t cols, int64_t k, int64_t* idx_out,
-                double* score_out) {
-  TopKSelect(row, cols, k, idx_out, score_out);
-}
-
 }  // namespace
 
 int64_t TopKAlignment::Top1(int64_t row) const {
@@ -71,7 +58,6 @@ Result<TopKAlignment> ChunkedTopK(int64_t rows, int64_t cols, int64_t k,
   out.cols = cols;
   out.k = k;
   if (rows == 0 || cols == 0 || k == 0) {
-    out.k = k;
     out.rows_computed = rows;
     out.index.assign(static_cast<size_t>(rows) * k, -1);
     out.score.assign(static_cast<size_t>(rows) * k, kNoScore);
@@ -105,7 +91,7 @@ Result<TopKAlignment> ChunkedTopK(int64_t rows, int64_t cols, int64_t k,
     if (nrows != buf.rows()) buf.Resize(nrows, cols);
     GALIGN_RETURN_NOT_OK(fill(r0, nrows, &buf));
     for (int64_t i = 0; i < nrows; ++i) {
-      SelectTopK(buf.row_data(i), cols, k, &out.index[(r0 + i) * k],
+      TopKSelect(buf.row_data(i), cols, k, &out.index[(r0 + i) * k],
                  &out.score[(r0 + i) * k]);
     }
     out.rows_computed = r0 + nrows;
@@ -113,53 +99,79 @@ Result<TopKAlignment> ChunkedTopK(int64_t rows, int64_t cols, int64_t k,
   return out;
 }
 
+RowBlockFiller MultiOrderBlockFiller(const std::vector<Matrix>& hs,
+                                     const std::vector<Matrix>& ht,
+                                     const std::vector<double>& theta,
+                                     LayerBlockVisitor visit) {
+  // One layer scratch and one source strip, reused across layers and
+  // blocks; a block spanning every source row reads hs[l] in place.
+  return [&hs, &ht, &theta, visit = std::move(visit), layer = Matrix(),
+          strip = Matrix()](int64_t r0, int64_t nrows,
+                            Matrix* block) mutable -> Status {
+    block->Fill(0.0);
+    for (size_t l = 0; l < hs.size(); ++l) {
+      if (theta[l] == 0.0 && !visit) continue;
+      const Matrix* a = &hs[l];
+      if (nrows != hs[l].rows()) {
+        strip.Resize(nrows, hs[l].cols());
+        std::copy(hs[l].row_data(r0), hs[l].row_data(r0 + nrows),
+                  strip.data());
+        a = &strip;
+      }
+      MatMulTransposedBInto(*a, ht[l], &layer);
+      if (visit) visit(l, r0, layer);
+      if (theta[l] != 0.0) block->Axpy(theta[l], layer);
+    }
+    return Status::OK();
+  };
+}
+
+Status CheckLayerStack(const std::vector<Matrix>& hs,
+                       const std::vector<Matrix>& ht,
+                       const std::vector<double>& theta,
+                       const std::string& who) {
+  if (hs.size() != ht.size() || hs.size() != theta.size()) {
+    return Status::InvalidArgument(who + ": layer count mismatch");
+  }
+  if (hs.empty()) return Status::InvalidArgument(who + ": no layers");
+  for (size_t l = 0; l < hs.size(); ++l) {
+    if (hs[l].rows() != hs[0].rows() || ht[l].rows() != ht[0].rows() ||
+        hs[l].cols() != ht[l].cols()) {
+      return Status::InvalidArgument(
+          who + ": inconsistent embedding shapes at layer " +
+          std::to_string(l));
+    }
+  }
+  return Status::OK();
+}
+
+Matrix AggregateAlignment(const std::vector<Matrix>& hs,
+                          const std::vector<Matrix>& ht,
+                          const std::vector<double>& theta) {
+  GALIGN_DCHECK(hs.size() == ht.size());
+  GALIGN_DCHECK(hs.size() == theta.size());
+  Matrix s(hs[0].rows(), ht[0].rows());
+  MultiOrderBlockFiller(hs, ht, theta)(0, s.rows(), &s).CheckOK();
+  return s;
+}
+
 Result<TopKAlignment> ChunkedEmbeddingTopK(const std::vector<Matrix>& hs,
                                            const std::vector<Matrix>& ht,
                                            const std::vector<double>& theta,
                                            int64_t k, const RunContext& ctx) {
-  if (hs.size() != ht.size() || hs.size() != theta.size()) {
-    return Status::InvalidArgument(
-        "ChunkedEmbeddingTopK: layer count mismatch");
-  }
-  if (hs.empty()) {
-    return Status::InvalidArgument("ChunkedEmbeddingTopK: no layers");
-  }
+  GALIGN_RETURN_NOT_OK(
+      CheckLayerStack(hs, ht, theta, "ChunkedEmbeddingTopK"));
   const int64_t n1 = hs[0].rows();
   const int64_t n2 = ht[0].rows();
-  for (size_t l = 0; l < hs.size(); ++l) {
-    if (hs[l].rows() != n1 || ht[l].rows() != n2 ||
-        hs[l].cols() != ht[l].cols()) {
-      return Status::InvalidArgument(
-          "ChunkedEmbeddingTopK: inconsistent embedding shapes at layer " +
-          std::to_string(l));
-    }
-  }
-
-  // Size the block to the budget: per block row we hold one n2-wide
-  // similarity row plus one (scaled) row of every source-layer embedding.
   auto block_rows = BudgetedBlockRows(n1, k, ChunkedRowBytes(n2, hs), ctx);
   GALIGN_RETURN_NOT_OK(block_rows.status());
-
-  auto fill = [&](int64_t r0, int64_t nrows, Matrix* block) -> Status {
-    bool accumulated = false;
-    for (size_t l = 0; l < hs.size(); ++l) {
-      if (theta[l] == 0.0) continue;
-      Matrix strip = hs[l].Block(r0, 0, nrows, hs[l].cols());
-      // Scaling the (small) strip folds theta into the GEMM, so one
-      // accumulating MatMul per layer suffices — no second n2-wide buffer.
-      if (theta[l] != 1.0) strip.Scale(theta[l]);
-      MatMulTransposedBInto(strip, ht[l], block, /*accumulate=*/accumulated);
-      accumulated = true;
-    }
-    if (!accumulated) block->Fill(0.0);
-    return Status::OK();
-  };
-  return ChunkedTopK(n1, n2, k, block_rows.ValueOrDie(), fill, ctx);
+  return ChunkedTopK(n1, n2, k, block_rows.ValueOrDie(),
+                     MultiOrderBlockFiller(hs, ht, theta), ctx);
 }
 
 Result<int64_t> BudgetedBlockRows(int64_t rows, int64_t k, uint64_t row_bytes,
                                   const RunContext& ctx) {
-  if (!ctx.HasMemoryLimit()) return kDefaultBlockRows;
+  if (!ctx.HasMemoryLimit()) return kScanBlockRows;
   const uint64_t fixed = TopKOutputBytes(rows, k);
   const uint64_t headroom = ctx.budget()->remaining();
   if (headroom <= fixed || row_bytes == 0 ||
@@ -169,7 +181,7 @@ Result<int64_t> BudgetedBlockRows(int64_t rows, int64_t k, uint64_t row_bytes,
         "fit the remaining memory budget");
   }
   return static_cast<int64_t>(std::min<uint64_t>(
-      kDefaultBlockRows, (headroom - fixed) / row_bytes));
+      kScanBlockRows, (headroom - fixed) / row_bytes));
 }
 
 TopKAlignment TopKFromDense(const Matrix& s, int64_t k) {
@@ -182,7 +194,7 @@ TopKAlignment TopKFromDense(const Matrix& s, int64_t k) {
   out.score.assign(static_cast<size_t>(out.rows) * out.k, kNoScore);
   if (out.k == 0) return out;
   for (int64_t r = 0; r < out.rows; ++r) {
-    SelectTopK(s.row_data(r), s.cols(), out.k, &out.index[r * out.k],
+    TopKSelect(s.row_data(r), s.cols(), out.k, &out.index[r * out.k],
                &out.score[r * out.k]);
   }
   return out;
@@ -190,8 +202,10 @@ TopKAlignment TopKFromDense(const Matrix& s, int64_t k) {
 
 uint64_t ChunkedRowBytes(int64_t cols, const std::vector<Matrix>& hs) {
   uint64_t dims = 0;
-  for (const Matrix& h : hs) dims += static_cast<uint64_t>(h.cols());
-  return (static_cast<uint64_t>(std::max<int64_t>(cols, 0)) + dims) *
+  for (const Matrix& h : hs) {
+    dims = std::max<uint64_t>(dims, static_cast<uint64_t>(h.cols()));
+  }
+  return (2 * static_cast<uint64_t>(std::max<int64_t>(cols, 0)) + dims) *
          sizeof(double);
 }
 

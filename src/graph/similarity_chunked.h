@@ -10,10 +10,15 @@
 // anchor extraction consume. This is the standard implicit-similarity
 // answer of the scalable-alignment literature (REGAL's xNetMF, GAlign
 // §VI-C's O(n) space argument).
+//
+// AggregateAlignment, the chunked top-k and the Eq. 13 stability scan all
+// fill S through MultiOrderBlockFiller: one accumulation order, so the
+// chunked top-k equals TopKFromDense of the dense aggregation bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/run_context.h"
@@ -47,10 +52,30 @@ struct TopKAlignment {
   [[nodiscard]] Result<Matrix> ToDense(double fill = 0.0) const;
 };
 
+/// Block height of a row-blocked scan that no memory budget constrains.
+inline constexpr int64_t kScanBlockRows = 512;
+
 /// Fills `block` (pre-shaped nrows x cols) with similarity rows
 /// [row0, row0 + nrows). Returning non-OK aborts the scan.
 using RowBlockFiller =
     std::function<Status(int64_t row0, int64_t nrows, Matrix* block)>;
+
+/// Receives layer `layer`'s raw similarity rows [row0, row0 + block.rows())
+/// of H_s^(l) H_t^(l)T before they are weighted into S.
+using LayerBlockVisitor =
+    std::function<void(size_t layer, int64_t row0, const Matrix& block)>;
+
+/// \brief The one filler of S = sum_l theta_l hs[l] ht[l]^T (Eq. 12).
+///
+/// Zero-fills the block, then adds theta_l * (rows of hs[l] ht[l]^T) layer
+/// by layer through one reused layer scratch, skipping layers with
+/// theta_l == 0. When `visit` is set it also computes the theta_l == 0
+/// layers and hands every raw layer block to it (the Eq. 13 statistics
+/// need all layers). The filler keeps references to hs, ht and theta.
+RowBlockFiller MultiOrderBlockFiller(const std::vector<Matrix>& hs,
+                                     const std::vector<Matrix>& ht,
+                                     const std::vector<double>& theta,
+                                     LayerBlockVisitor visit = nullptr);
 
 /// \brief Generic row-blocked top-k scan.
 ///
@@ -65,9 +90,24 @@ using RowBlockFiller =
                                   const RowBlockFiller& fill,
                                   const RunContext& ctx = RunContext());
 
+/// InvalidArgument (prefixed by `who`) unless hs/ht/theta are one non-empty
+/// layer stack: a weight per layer, one row count per side, equal widths.
+[[nodiscard]] Status CheckLayerStack(const std::vector<Matrix>& hs,
+                                     const std::vector<Matrix>& ht,
+                                     const std::vector<double>& theta,
+                                     const std::string& who);
+
+/// Aggregated alignment matrix S = sum_l theta_l H_s^(l) H_t^(l)T (Eq. 12):
+/// MultiOrderBlockFiller over all rows at once.
+Matrix AggregateAlignment(const std::vector<Matrix>& hs,
+                          const std::vector<Matrix>& ht,
+                          const std::vector<double>& theta);
+
 /// \brief Multi-order embedding alignment, chunked: the top-k of
 /// S = sum_l theta_l hs[l] ht[l]^T without materializing any n1 x n2
-/// matrix (Eq. 12 under a memory budget).
+/// matrix (Eq. 12 under a memory budget). ChunkedTopK over
+/// MultiOrderBlockFiller, so its indices and scores equal
+/// TopKFromDense(AggregateAlignment(hs, ht, theta), k) exactly.
 ///
 /// The block size is derived from ctx.budget()'s remaining headroom (a
 /// cache-friendly default when unbounded); fails with ResourceExhausted
@@ -88,14 +128,15 @@ TopKAlignment TopKFromDense(const Matrix& s, int64_t k);
 /// each block row costs `row_bytes` of transient working set on top of the
 /// fixed TopKOutputBytes(rows, k) output.
 ///
-/// The cache-friendly default (512) when ctx carries no finite budget;
+/// kScanBlockRows when ctx carries no finite budget;
 /// ResourceExhausted when even a single-row block does not fit the
 /// remaining headroom.
 [[nodiscard]] Result<int64_t> BudgetedBlockRows(int64_t rows, int64_t k, uint64_t row_bytes,
                                   const RunContext& ctx);
 
 /// Bytes of transient working set the chunked embedding scan needs per
-/// block row: one similarity row plus one row of every layer embedding.
+/// block row: what MultiOrderBlockFiller holds — one row of S, one row of
+/// the layer scratch and one row of the widest source strip.
 uint64_t ChunkedRowBytes(int64_t cols, const std::vector<Matrix>& hs);
 
 /// Bytes of the O(rows * k) top-k output (index + score arrays).

@@ -8,7 +8,6 @@
 #include "common/fault.h"
 #include "core/galign.h"
 #include "core/model_io.h"
-#include "core/trainer.h"
 #include "graph/ann/ann.h"
 #include "graph/ann/ann_io.h"
 
@@ -59,10 +58,6 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Build(
     const AttributedGraph& target, const AlignmentIndexOptions& options,
     const RunContext& ctx) {
   GALIGN_RETURN_NOT_OK(config.Validate());
-  if (source.num_attributes() != target.num_attributes()) {
-    return Status::InvalidArgument(
-        "AlignmentIndex::Build requires equal attribute dimensionality");
-  }
   if (options.anchor_k <= 0) {
     return Status::InvalidArgument("AlignmentIndex::Build: anchor_k must be > 0");
   }
@@ -71,26 +66,17 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Build(
 
   // Alg. 1 training; the artifact keeps the trained model itself so a
   // reload can verify (or re-derive) everything downstream of it.
-  Rng rng(config.seed);
-  out->gcn_ = std::make_unique<MultiOrderGcn>(
-      config.num_layers, source.num_attributes(), config.embedding_dim, &rng);
-  Trainer trainer(config);
-  GALIGN_RETURN_NOT_OK(
-      trainer.Train(out->gcn_.get(), source, target, &rng, /*seeds=*/{}, ctx));
+  auto trained = TrainAndEmbed(config, source, target, /*seeds=*/{}, ctx,
+                               /*refine=*/false);
+  GALIGN_RETURN_NOT_OK(trained.status());
   if (ctx.ShouldStop()) {
     return Status::DeadlineExceeded(
         "AlignmentIndex::Build stopped during training — refusing to emit a "
         "partial artifact");
   }
-
-  auto lap_s = source.NormalizedAdjacency();
-  GALIGN_RETURN_NOT_OK(lap_s.status());
-  auto lap_t = target.NormalizedAdjacency();
-  GALIGN_RETURN_NOT_OK(lap_t.status());
-  out->source_layers_ =
-      out->gcn_->ForwardInference(lap_s.ValueOrDie(), source.attributes());
-  out->target_layers_ =
-      out->gcn_->ForwardInference(lap_t.ValueOrDie(), target.attributes());
+  out->gcn_ = std::move(trained.ValueOrDie().gcn);
+  out->source_layers_ = std::move(trained.ValueOrDie().source_layers);
+  out->target_layers_ = std::move(trained.ValueOrDie().target_layers);
   out->theta_ = config.EffectiveLayerWeights();
 
   // Query side carries theta so the multi-order score is one inner product

@@ -72,6 +72,24 @@ TEST(BudgetDegradationTest, GAlignDegradesAndStaysAccurate) {
               0.02);
 }
 
+TEST(BudgetDegradationTest, GAlignTopKEqualsDenseTopKBitForBit) {
+  // Below the ANN threshold the degraded read-out ranks the same refined
+  // embeddings through the same block filler as Align's dense aggregation,
+  // so indices and scores agree exactly, not within a tolerance.
+  AlignmentPair pair = SmallWorkload(300, 22);
+  ASSERT_LT(pair.source.num_nodes(), AnnPolicy().min_rows);
+  GAlignAligner dense_aligner(SmallGAlign());
+  auto dense = dense_aligner.Align(pair.source, pair.target, {});
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  GAlignAligner topk_aligner(SmallGAlign());
+  auto topk =
+      topk_aligner.AlignTopK(pair.source, pair.target, {}, RunContext(), 10);
+  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+  TopKAlignment expect = TopKFromDense(dense.ValueOrDie(), 10);
+  EXPECT_EQ(topk.ValueOrDie().index, expect.index);
+  EXPECT_EQ(topk.ValueOrDie().score, expect.score);
+}
+
 TEST(BudgetDegradationTest, RegalDegradesAndStaysAccurate) {
   AlignmentPair pair = SmallWorkload(300, 22);
 

@@ -79,6 +79,20 @@ TEST(AttributeOnlyTest, PerfectScoresForMatchingProfiles) {
   }
 }
 
+TEST(AttributeOnlyTest, DenseAndTopKReadOutsAgreeExactly) {
+  // Below the ANN threshold both read-outs run the same GEMM filler over
+  // the row-normalized attributes, so they agree in every bit.
+  AlignmentPair pair = CleanPair(10, 90);
+  AttributeOnlyAligner aligner;
+  auto s = aligner.Align(pair.source, pair.target, {});
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  auto got = aligner.AlignTopK(pair.source, pair.target, {}, RunContext(), 7);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  TopKAlignment expect = TopKFromDense(s.ValueOrDie(), 7);
+  EXPECT_EQ(got.ValueOrDie().index, expect.index);
+  EXPECT_EQ(got.ValueOrDie().score, expect.score);
+}
+
 TEST(AttributeOnlyTest, RejectsMismatchedDims) {
   AlignmentPair pair = CleanPair(7, 20);
   auto other =

@@ -490,8 +490,7 @@ FuzzFailure FuzzArtifact(const std::string& tmp_prefix, Rng* rng) {
                  "artifact.store",
                  "untyped failure: " + loaded.status().ToString());
     }
-    std::remove(store.GenerationPath(1).c_str());
-    std::remove((dir + "/MANIFEST").c_str());
+    std::filesystem::remove_all(dir, ec);
   }
   return kOk;
 }

@@ -224,11 +224,16 @@ TEST(ChunkedEmbeddingTopKTest, MatchesDenseAggregation) {
   }
   TopKAlignment expect = TopKFromDense(dense, 5);
 
-  auto got = ChunkedEmbeddingTopK(hs, ht, theta, 5);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got.ValueOrDie().index, expect.index);
-  for (size_t i = 0; i < expect.score.size(); ++i) {
-    EXPECT_NEAR(got.ValueOrDie().score[i], expect.score[i], 1e-12);
+  // One block, then a budget that affords three rows per block: every
+  // block height reproduces the dense top-k in every bit.
+  for (const RunContext& ctx :
+       {RunContext(), RunContext::WithMemoryBudget(
+                          TopKOutputBytes(19, 5) +
+                          3 * ChunkedRowBytes(13, hs) + 1)}) {
+    auto got = ChunkedEmbeddingTopK(hs, ht, theta, 5, ctx);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.ValueOrDie().index, expect.index);
+    EXPECT_EQ(got.ValueOrDie().score, expect.score);
   }
 }
 

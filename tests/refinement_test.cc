@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/trainer.h"
 #include "graph/generators.h"
 #include "graph/noise.h"
@@ -36,17 +39,30 @@ TEST(AggregateAlignmentTest, ZeroWeightSkipsLayer) {
 }
 
 TEST(ScanStabilityTest, AggregateScoreMatchesDense) {
+  auto expect_dense_bits = [](const std::vector<Matrix>& hs,
+                              const std::vector<Matrix>& ht,
+                              const std::vector<double>& theta) {
+    Matrix s = AggregateAlignment(hs, ht, theta);
+    double expected = 0.0;
+    for (int64_t v = 0; v < s.rows(); ++v) expected += MaxRow(s, v);
+    StabilityScan scan = ScanStability(hs, ht, theta, 0.5);
+    EXPECT_EQ(std::bit_cast<uint64_t>(scan.aggregate_score),
+              std::bit_cast<uint64_t>(expected));
+  };
   Rng rng(3);
   std::vector<Matrix> hs{Matrix::Gaussian(30, 4, &rng),
                          Matrix::Gaussian(30, 4, &rng)};
   std::vector<Matrix> ht{Matrix::Gaussian(20, 4, &rng),
                          Matrix::Gaussian(20, 4, &rng)};
-  std::vector<double> theta{0.5, 0.5};
-  Matrix s = AggregateAlignment(hs, ht, theta);
-  double expected = 0.0;
-  for (int64_t v = 0; v < 30; ++v) expected += MaxRow(s, v);
-  StabilityScan scan = ScanStability(hs, ht, theta, 0.5);
-  EXPECT_NEAR(scan.aggregate_score, expected, 1e-9);
+  expect_dense_bits(hs, ht, {0.5, 0.5});
+  // 1100 source rows span three scan blocks; the zero-weight layer still
+  // feeds the Eq. 13 statistics but not g(S).
+  std::vector<Matrix> hs3, ht3;
+  for (int l = 0; l < 3; ++l) {
+    hs3.push_back(Matrix::Gaussian(1100, 4, &rng));
+    ht3.push_back(Matrix::Gaussian(20, 4, &rng));
+  }
+  expect_dense_bits(hs3, ht3, {0.0, 0.5, 0.5});
 }
 
 TEST(ScanStabilityTest, IdenticalEmbeddingsAreAllStable) {
